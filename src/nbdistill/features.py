@@ -22,13 +22,24 @@ then one ``SID<TAB>RANK<TAB>V1..VM`` row per hypothesis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .corpus import ExternalScoreTable, FormatError, NBestCorpus
-from .metrics import corpus_bleu, sentence_chrf, sentence_stats, tokenize_13a
+from .metrics import (
+    CHRF_CHAR_ORDER,
+    NGRAM_ORDER,
+    NGramStats,
+    _char_ngrams,
+    _chrf_from_stats,
+    _collapse,
+    _ngrams,
+    corpus_bleu,
+    tokenize_13a,
+)
 
 NATIVE_FEATURES = ("mbr_bleu", "mbr_chrf", "len", "len_ratio")
 
@@ -62,21 +73,70 @@ class FeatureMatrix:
                 )
 
 
+def _pairwise_overlaps(counts: Sequence[Sequence[Counter]]) -> List[List[List[int]]]:
+    """Multiset intersection sizes of every pair of texts, per n-gram order.
+
+    ``counts[i][o]`` holds the n-grams of order ``o + 1`` of text ``i``; the
+    result ``out[i][j][o]`` is ``sum((counts[i][o] & counts[j][o]).values())``.
+    Each order's n-grams get list-local integer ids, so one (n, V) count
+    matrix per order gives a whole row of pairs per vectorised min-and-sum.
+    Integer sums are exact, hence identical to the per-pair Counters.
+    """
+    n = len(counts)
+    orders = len(counts[0])
+    out = np.zeros((n, n, orders), dtype=np.int64)
+    for o in range(orders):
+        ids: Dict[object, int] = {}
+        rows: List[int] = []
+        cols: List[int] = []
+        vals: List[int] = []
+        for i, per_order in enumerate(counts):
+            for gram, count in per_order[o].items():
+                rows.append(i)
+                cols.append(ids.setdefault(gram, len(ids)))
+                vals.append(count)
+        matrix = np.zeros((n, len(ids)), dtype=np.int64)
+        matrix[rows, cols] = vals
+        for i in range(n):
+            out[i, :, o] = np.minimum(matrix[i], matrix).sum(axis=1)
+    return out.tolist()
+
+
 def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[float]:
-    """Consensus utility of each hypothesis against the rest of its list."""
+    """Consensus utility of each hypothesis against the rest of its list.
+
+    Equal, bit for bit, to averaging ``sentence_bleu``/``sentence_chrf`` of
+    each hypothesis against every other list member in ascending order: the
+    symmetric n-gram overlaps are counted once per list, and the float score
+    of every ordered pair is still computed from its own statistics.
+    """
     if not texts:
         raise ValueError("empty hypothesis list")
     n = len(texts)
     if utility == "sentence_bleu":
         toks = [tokenize_13a(t) for t in texts]
+        lens = [len(t) for t in toks]
+        totals = [tuple(max(0, k - o) for o in range(NGRAM_ORDER)) for k in lens]
+        overlaps = _pairwise_overlaps(
+            [[Counter(_ngrams(t, o)) for o in range(1, NGRAM_ORDER + 1)] for t in toks]
+        )
 
         def pair(i: int, j: int) -> float:
-            return corpus_bleu(sentence_stats(toks[i], [toks[j]])).value
+            stats = NGramStats(tuple(overlaps[i][j]), totals[i], lens[i], lens[j])
+            return corpus_bleu(stats).value
 
     elif utility == "sentence_chrf":
+        chars = [_collapse(t) for t in texts]
+        totals = [
+            [max(0, len(c) - o) for o in range(CHRF_CHAR_ORDER)] for c in chars
+        ]
+        overlaps = _pairwise_overlaps(
+            [[Counter(_char_ngrams(c, o)) for o in range(1, CHRF_CHAR_ORDER + 1)]
+             for c in chars]
+        )
 
         def pair(i: int, j: int) -> float:
-            return sentence_chrf(texts[i], [texts[j]]).value
+            return _chrf_from_stats(list(zip(totals[i], totals[j], overlaps[i][j]))).value
 
     else:
         raise ValueError(f"unknown MBR utility {utility!r}")

@@ -194,12 +194,16 @@ def _collapse(s: str) -> str:
     return " ".join(s.split())
 
 
+def _char_ngrams(s: str, order: int):
+    return (s[i : i + order] for i in range(len(s) - order + 1))
+
+
 def _char_ngram_stats(hyp: str, ref: str) -> List[Tuple[int, int, int]]:
     """(hyp_total, ref_total, overlap) per character n-gram order 1..6."""
     out = []
     for order in range(1, CHRF_CHAR_ORDER + 1):
-        hyp_counts = Counter(hyp[i : i + order] for i in range(len(hyp) - order + 1))
-        ref_counts = Counter(ref[i : i + order] for i in range(len(ref) - order + 1))
+        hyp_counts = Counter(_char_ngrams(hyp, order))
+        ref_counts = Counter(_char_ngrams(ref, order))
         overlap = sum((hyp_counts & ref_counts).values())
         out.append((sum(hyp_counts.values()), sum(ref_counts.values()), overlap))
     return out

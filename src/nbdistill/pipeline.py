@@ -7,7 +7,8 @@ the in-process stages in a fixed order:
     generate_nbest -> scores -> assemble -> tune -> select -> distill -> evaluate
 
 Hook command templates get ``{ITER}``, ``{IN}`` and ``{OUT}`` substituted
-textually and run with the iteration directory as working directory.  Teacher
+(the two paths shell-quoted, so templates must not quote them again) and run
+with the iteration directory as working directory.  Teacher
 retraining/finetuning lives entirely inside the ``generate_nbest`` hook; the
 orchestrator's contract is files in, files out.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import time
@@ -116,7 +118,8 @@ class PipelineConfig:
         """Parse a config file: a JSON document, or sectioned key/value text.
 
         Both carry the same sections: pipeline, data, features, hooks, mira.
-        Relative paths are resolved against the config file's directory.
+        Relative paths are resolved against the config file's directory,
+        made absolute so that hooks running in ``workdir/iterN`` find them.
         """
         p = Path(path)
         text = p.read_text(encoding="utf-8")
@@ -127,7 +130,7 @@ class PipelineConfig:
             cp.optionxform = str  # hook names are case-sensitive
             cp.read_string(text)
             sections = {name: dict(cp[name]) for name in cp.sections()}
-        base = p.parent
+        base = p.absolute().parent
 
         def section(name: str) -> dict:
             sec = sections.get(name, {})
@@ -236,8 +239,8 @@ def _run_hook(
 ) -> int:
     cmd = (
         template.replace("{ITER}", str(iter_n))
-        .replace("{IN}", str(in_path))
-        .replace("{OUT}", str(out_path))
+        .replace("{IN}", shlex.quote(str(in_path)))
+        .replace("{OUT}", shlex.quote(str(out_path)))
     )
     proc = subprocess.run(
         cmd, shell=True, cwd=str(cwd), capture_output=True, text=True

@@ -1,0 +1,34 @@
+"""Per-pair consensus utilities: the definition ``features.mbr_utility`` must
+reproduce bit for bit.
+
+Every ordered pair (i, j) scores hypothesis i against hypothesis j as its
+single reference with the public sentence metrics; each hypothesis's utility
+is the plain Python sum over j != i in ascending order, divided by n - 1.  A
+single-member list scores against itself.
+"""
+
+from nbdistill.metrics import corpus_bleu, sentence_chrf, sentence_stats, tokenize_13a
+
+
+def reference_mbr_utility(texts, utility="sentence_bleu"):
+    if not texts:
+        raise ValueError("empty hypothesis list")
+    n = len(texts)
+    if utility == "sentence_bleu":
+        toks = [tokenize_13a(t) for t in texts]
+
+        def pair(i, j):
+            return corpus_bleu(sentence_stats(toks[i], [toks[j]])).value
+
+    elif utility == "sentence_chrf":
+
+        def pair(i, j):
+            return sentence_chrf(texts[i], [texts[j]]).value
+
+    else:
+        raise ValueError(f"unknown MBR utility {utility!r}")
+    if n == 1:
+        return [pair(0, 0)]
+    return [
+        sum(pair(i, j) for j in range(n) if j != i) / (n - 1) for i in range(n)
+    ]

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbdistill.corpus import load_nbest, load_scores
 from nbdistill.features import (
@@ -16,7 +16,24 @@ from nbdistill.features import (
 )
 from nbdistill.metrics import sentence_bleu, sentence_chrf
 from oracles import bf_mbr_utilities, bf_sentence_bleu
+from reference_mbr import reference_mbr_utility
 from synth import make_corpus, nbest_lines
+
+# Fragments that reach every tokenizer and chrF boundary: 13a punctuation and
+# digit rules, HTML entities, <skipped>, whitespace runs and non-ASCII.
+_FRAGMENTS = (
+    "a", "b", "cat", "the", " ", "  ", "\t", "\n", ".", ",", "-", "!", "(", "'s",
+    "1", "3.5", "1,000", "9-", "&quot;", "&amp;", "&lt;", "&gt;", "<skipped>",
+    "é", "straße", "日本",
+)
+_TEXTS = st.lists(st.sampled_from(_FRAGMENTS), max_size=10).map("".join)
+
+
+@st.composite
+def hypothesis_lists(draw):
+    # drawing members from a small pool of texts puts duplicates in the list
+    pool = draw(st.lists(_TEXTS, min_size=1, max_size=12))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
 
 
 def small_corpus():
@@ -60,6 +77,15 @@ class TestMbrUtility:
     def test_unknown_utility(self):
         with pytest.raises(ValueError):
             mbr_utility(["a"], "ter")
+
+    @settings(max_examples=200)
+    @given(hypothesis_lists())
+    @example(make_corpus(1, 32, seed=0, max_edits=6)[2][0])  # a full-length list
+    def test_bit_identical_to_per_pair_definition(self, texts):
+        for utility in ("sentence_bleu", "sentence_chrf"):
+            assert repr(mbr_utility(texts, utility)) == repr(
+                reference_mbr_utility(texts, utility)
+            )
 
     @given(st.permutations([0, 1, 2, 3]))
     def test_permutation_covariance(self, perm):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -194,6 +195,13 @@ class TestRunIteration:
         with pytest.raises(HookError, match=r"stage score_lm\[tune\]"):
             run_iteration(config)
 
+    def test_hooks_get_quoted_paths_with_spaces(self, tmp_path):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        config = dataclasses.replace(config, workdir=tmp_path / "work dir")
+        state = run_iteration(config)
+        assert Path(state.labels_path).is_file()
+        assert (tmp_path / "work dir" / "iter1" / "nbest.tune.txt").is_file()
+
     def test_rerun_returns_ledger_entry(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
         first = run_iteration(config)
@@ -331,3 +339,10 @@ class TestSelfTrainCli:
         assert table.splitlines()[0].startswith("iter")
         # re-running resumes off the ledger without re-executing hooks
         assert cli_main(["selftrain", "--config", str(config_path), "--resume"]) == 0
+
+    def test_relative_config_path(self, tmp_path, monkeypatch, capsys):
+        build_pipeline_fixtures(tmp_path, iterations=1)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["selftrain", "--config", "selftrain.ini"]) == 0
+        assert "best_iteration\t1" in capsys.readouterr().out
+        assert (tmp_path / "work" / "final.labels.tsv").is_file()
