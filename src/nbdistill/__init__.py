@@ -28,16 +28,18 @@ from .features import FeatureMatrix, assemble_matrix, length_features, mbr_utili
 from .metrics import (
     BleuScore,
     ChrFScore,
+    HypStats,
     NGramStats,
     corpus_bleu,
     corpus_chrf,
     corpus_stats,
+    hyp_stats,
     sentence_bleu,
     sentence_chrf,
     sentence_stats,
     tokenize_13a,
 )
-from .mira import MiraConfig, TuneRun, WeightVector, evaluate_weights, tune_mira
+from .mira import MiraConfig, TuneRun, WeightVector, tune_mira
 from .pipeline import IterationState, PipelineConfig, run_iteration, run_selftrain
 from .rerank import (
     RerankResult,

@@ -297,7 +297,7 @@ def write_pseudo_labels(
         if "\n" in lab or "\r" in lab:
             raise ValueError(f"label for sentence {i} contains a newline")
     prefix = str(out_prefix)
-    if fmt in ("parallel", "parallel-files"):
+    if fmt == "parallel":
         src_path = Path(prefix + ".src")
         tgt_path = Path(prefix + ".tgt")
         with open(src_path, "w", encoding="utf-8", newline="\n") as f:

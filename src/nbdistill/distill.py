@@ -21,9 +21,8 @@ from typing import Dict, Optional, Tuple
 
 from .corpus import NBestCorpus, ReferenceSet, SourceCorpus
 from .features import FeatureMatrix
-from .metrics import corpus_bleu, sentence_stats, tokenize_13a
 from .mira import WeightVector
-from .rerank import SelectionMask, rerank
+from .rerank import SelectionMask, oracle_select, rerank
 
 STRATEGIES = ("kd_top1", "ki", "rerank")
 MIX_MODES = ("bitext_only", "bitext_plus_mono", "mono_only")
@@ -49,22 +48,11 @@ def kd_top1(corpus: NBestCorpus) -> PseudoLabelSet:
 
 def ki_select(corpus: NBestCorpus, original_refs: ReferenceSet) -> PseudoLabelSet:
     """Per sentence, the list member with the highest BLEU against the
-    original labels; ties resolve to the lowest rank."""
-    if original_refs.num_sentences != corpus.num_sentences:
-        raise ValueError("references do not cover the corpus")
-    labels = []
-    for sid, entries in enumerate(corpus.lists):
-        ref_toks = [tokenize_13a(r) for r in original_refs.refs[sid]]
-        best = 0
-        best_score = None
-        for rank, e in enumerate(entries):
-            score = corpus_bleu(sentence_stats(tokenize_13a(e.text), ref_toks)).value
-            if best_score is None or score > best_score:
-                best = rank
-                best_score = score
-        labels.append(entries[best].text)
+    original labels (the greedy oracle); ties resolve to the lowest rank."""
     return PseudoLabelSet(
-        tuple(labels), "ki", "highest sentence BLEU against the original labels"
+        oracle_select(corpus, original_refs).selected_texts,
+        "ki",
+        "highest sentence BLEU against the original labels",
     )
 
 

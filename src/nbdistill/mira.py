@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import NBestCorpus, ReferenceSet
 from .features import FeatureMatrix
-from .metrics import NGramStats, corpus_bleu, sentence_stats, tokenize_13a
+from .metrics import hyp_stats
 
 INIT_MODES = ("zeros", "uniform", "given")
 
@@ -142,22 +142,13 @@ def tune_mira(
         raise ValueError("zero-feature matrix")
     num_sentences = corpus.num_sentences
 
-    # per-hypothesis sentence BLEU against the tune references, plus the
-    # per-hypothesis statistics that make corpus BLEU of any selection cheap
-    gains: List[np.ndarray] = []
-    stats: List[List[NGramStats]] = []
-    for sid, entries in enumerate(corpus.lists):
-        ref_toks = [tokenize_13a(r) for r in refs.refs[sid]]
-        sent = [sentence_stats(tokenize_13a(e.text), ref_toks) for e in entries]
-        stats.append(sent)
-        gains.append(np.array([corpus_bleu(s).value for s in sent]))
+    # sentence BLEU of every hypothesis against the tune references, and the
+    # statistics that make corpus BLEU of any selection a gather and a sum
+    table = hyp_stats([corpus.texts(sid) for sid in range(num_sentences)], refs.refs)
+    gains = [table.gains[sid, : len(rows)] for sid, rows in enumerate(matrix.values)]
 
     def bleu_of_weights(weights: np.ndarray) -> float:
-        total = NGramStats.zero()
-        for sid in range(num_sentences):
-            pick = int(np.argmax(matrix.values[sid] @ weights))
-            total = total + stats[sid][pick]
-        return corpus_bleu(total).value
+        return table.bleu([np.argmax(rows @ weights) for rows in matrix.values]).value
 
     lam = _init_array(config, names)
     history: List[Tuple[WeightVector, float]] = []
@@ -187,25 +178,6 @@ def tune_mira(
         if history[epoch][1] > history[best_epoch][1]:
             best_epoch = epoch
     return TuneRun(history[best_epoch][0], tuple(history), best_epoch)
-
-
-def evaluate_weights(
-    matrix: FeatureMatrix,
-    corpus: NBestCorpus,
-    refs: ReferenceSet,
-    weights: WeightVector,
-) -> float:
-    """Corpus BLEU of the per-sentence argmax selection under these weights."""
-    if weights.feature_names != matrix.feature_names:
-        raise ValueError("weight vector does not match matrix columns")
-    _check_aligned(matrix, corpus, refs)
-    w = weights.as_array()
-    total = NGramStats.zero()
-    for sid, entries in enumerate(corpus.lists):
-        pick = int(np.argmax(matrix.values[sid] @ w))
-        ref_toks = [tokenize_13a(r) for r in refs.refs[sid]]
-        total = total + sentence_stats(tokenize_13a(entries[pick].text), ref_toks)
-    return corpus_bleu(total).value
 
 
 def write_weights(

@@ -18,13 +18,7 @@ import numpy as np
 
 from .corpus import NBestCorpus, ReferenceSet
 from .features import FeatureMatrix
-from .metrics import (
-    BleuScore,
-    NGramStats,
-    corpus_bleu,
-    sentence_stats,
-    tokenize_13a,
-)
+from .metrics import BleuScore, HypStats, corpus_bleu, corpus_stats, hyp_stats
 from .mira import WeightVector
 
 ORACLE_MODES = ("oracle", "anti_oracle")
@@ -80,18 +74,6 @@ def _masked_weights(weights: WeightVector, mask: Optional[SelectionMask]) -> np.
     return w * keep
 
 
-def _score_selection(
-    corpus: NBestCorpus, refs: ReferenceSet, selections: Sequence[int]
-) -> BleuScore:
-    total = NGramStats.zero()
-    for sid, pick in enumerate(selections):
-        ref_toks = [tokenize_13a(r) for r in refs.refs[sid]]
-        total = total + sentence_stats(
-            tokenize_13a(corpus.lists[sid][pick].text), ref_toks
-        )
-    return corpus_bleu(total)
-
-
 def rerank(
     matrix: FeatureMatrix,
     corpus: NBestCorpus,
@@ -112,29 +94,25 @@ def rerank(
     if refs is not None:
         if refs.num_sentences != corpus.num_sentences:
             raise ValueError("references do not cover the corpus")
-        score = _score_selection(corpus, refs, selections)
+        score = corpus_bleu(corpus_stats(texts, refs.refs))
     return RerankResult(selections, texts, score)
 
 
-def _per_hypothesis_bleu(
-    corpus: NBestCorpus, refs: ReferenceSet
-) -> Tuple[List[List[NGramStats]], List[List[float]]]:
-    stats: List[List[NGramStats]] = []
-    values: List[List[float]] = []
-    for sid, entries in enumerate(corpus.lists):
-        ref_toks = [tokenize_13a(r) for r in refs.refs[sid]]
-        sent = [sentence_stats(tokenize_13a(e.text), ref_toks) for e in entries]
-        stats.append(sent)
-        values.append([corpus_bleu(s).value for s in sent])
-    return stats, values
+def _per_hypothesis_bleu(corpus: NBestCorpus, refs: ReferenceSet) -> HypStats:
+    if refs.num_sentences != corpus.num_sentences:
+        raise ValueError("references do not cover the corpus")
+    return hyp_stats([corpus.texts(sid) for sid in range(corpus.num_sentences)], refs.refs)
 
 
-def _extreme_index(scores: Sequence[float], highest: bool) -> int:
-    best = 0
-    for i in range(1, len(scores)):
-        if (scores[i] > scores[best]) if highest else (scores[i] < scores[best]):
-            best = i
-    return best
+def _extremes(table: HypStats, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per sentence, the highest- and lowest-BLEU rank among the first ``n``;
+    ties resolve to the lowest rank."""
+    live = table.valid[:, :n]
+    gains = table.gains[:, :n]
+    return (
+        np.where(live, gains, -np.inf).argmax(axis=1),
+        np.where(live, gains, np.inf).argmin(axis=1),
+    )
 
 
 def oracle_select(
@@ -148,15 +126,13 @@ def oracle_select(
         raise ValueError(f"mode must be one of {ORACLE_MODES}")
     if metric != "sentence_bleu":
         raise ValueError(f"unsupported oracle metric {metric!r}")
-    if refs.num_sentences != corpus.num_sentences:
-        raise ValueError("references do not cover the corpus")
-    _, values = _per_hypothesis_bleu(corpus, refs)
-    highest = mode == "oracle"
-    selections = tuple(_extreme_index(v, highest) for v in values)
+    table = _per_hypothesis_bleu(corpus, refs)
+    best, worst = _extremes(table, corpus.n_max)
+    selections = tuple((best if mode == "oracle" else worst).tolist())
     texts = tuple(
         corpus.lists[sid][pick].text for sid, pick in enumerate(selections)
     )
-    return RerankResult(selections, texts, _score_selection(corpus, refs, selections))
+    return RerankResult(selections, texts, table.bleu(selections))
 
 
 def beam_sweep(
@@ -177,32 +153,15 @@ def beam_sweep(
         raise ValueError(
             f"sweep size {max(sizes)} exceeds the longest list ({corpus.n_max})"
         )
-    if refs.num_sentences != corpus.num_sentences:
-        raise ValueError("references do not cover the corpus")
-    stats, values = _per_hypothesis_bleu(corpus, refs)
+    table = _per_hypothesis_bleu(corpus, refs)
+    lengths = table.valid.sum(axis=1)
+    top1 = table.bleu(np.zeros(corpus.num_sentences, dtype=np.int64)).value
     rows = []
     short_lists = 0
     for n in sizes:
-        anti = NGramStats.zero()
-        top1 = NGramStats.zero()
-        oracle = NGramStats.zero()
-        for sid in range(corpus.num_sentences):
-            avail = len(values[sid])
-            if avail < n:
-                short_lists += 1
-            m = min(n, avail)
-            prefix = values[sid][:m]
-            top1 = top1 + stats[sid][0]
-            oracle = oracle + stats[sid][_extreme_index(prefix, True)]
-            anti = anti + stats[sid][_extreme_index(prefix, False)]
-        rows.append(
-            SweepRow(
-                n,
-                corpus_bleu(anti).value,
-                corpus_bleu(top1).value,
-                corpus_bleu(oracle).value,
-            )
-        )
+        short_lists += int((lengths < n).sum())
+        oracle, anti = _extremes(table, n)
+        rows.append(SweepRow(n, table.bleu(anti).value, top1, table.bleu(oracle).value))
     return rows, short_lists
 
 

@@ -1,0 +1,74 @@
+"""Per-hypothesis BLEU statistics, one hypothesis at a time: the definition
+``metrics.hyp_stats`` and ``metrics.tokenize_13a`` must reproduce exactly.
+
+``reference_tokenize_13a`` is a frozen copy of the 13a tokenizer with its
+original rule set, whose first class still contains the space.
+``reference_sentence_stats`` rebuilds every reference's n-gram counts for each
+hypothesis.  ``reference_hyp_stats`` runs the loop the package used before the
+shared statistics table: tokenize the references, then tokenize and count
+every hypothesis of the list, duplicates included.
+"""
+
+import re
+from collections import Counter
+
+from nbdistill.metrics import NGramStats, corpus_bleu
+
+_FROZEN_13A_RULES = (
+    (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), r" \1 "),
+    (re.compile(r"([^0-9])([\.,])"), r"\1 \2 "),
+    (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
+    (re.compile(r"([0-9])(-)"), r"\1 \2 "),
+)
+
+
+def reference_tokenize_13a(text):
+    norm = text.replace("<skipped>", "")
+    norm = norm.replace("-\n", "")
+    norm = norm.replace("\n", " ")
+    if "&" in norm:
+        norm = norm.replace("&quot;", '"')
+        norm = norm.replace("&amp;", "&")
+        norm = norm.replace("&lt;", "<")
+        norm = norm.replace("&gt;", ">")
+    norm = f" {norm} "
+    for pattern, repl in _FROZEN_13A_RULES:
+        norm = pattern.sub(repl, norm)
+    return norm.split()
+
+
+def _ngrams(tokens, order):
+    return zip(*(tokens[i:] for i in range(order)))
+
+
+def reference_sentence_stats(hyp_tokens, refs_tokens):
+    hyp_len = len(hyp_tokens)
+    ref_len = min((len(r) for r in refs_tokens), key=lambda rl: (abs(rl - hyp_len), rl))
+    clipped = [0] * 4
+    totals = [0] * 4
+    for order in range(1, 5):
+        totals[order - 1] = max(0, hyp_len - order + 1)
+        if totals[order - 1] == 0:
+            continue
+        hyp_counts = Counter(_ngrams(hyp_tokens, order))
+        max_ref = Counter()
+        for ref in refs_tokens:
+            for gram, count in Counter(_ngrams(ref, order)).items():
+                if count > max_ref[gram]:
+                    max_ref[gram] = count
+        clipped[order - 1] = sum(
+            min(count, max_ref[gram]) for gram, count in hyp_counts.items()
+        )
+    return NGramStats(tuple(clipped), tuple(totals), hyp_len, ref_len)
+
+
+def reference_hyp_stats(lists, refs_per_sentence):
+    """Per sentence, the NGramStats and the sentence BLEU of every hypothesis."""
+    stats = []
+    gains = []
+    for texts, refs in zip(lists, refs_per_sentence):
+        ref_toks = [reference_tokenize_13a(r) for r in refs]
+        sent = [reference_sentence_stats(reference_tokenize_13a(t), ref_toks) for t in texts]
+        stats.append(sent)
+        gains.append([corpus_bleu(s).value for s in sent])
+    return stats, gains

@@ -17,23 +17,8 @@ from nbdistill.features import (
 from nbdistill.metrics import sentence_bleu, sentence_chrf
 from oracles import bf_mbr_utilities, bf_sentence_bleu
 from reference_mbr import reference_mbr_utility
+from strategies import hypothesis_lists
 from synth import make_corpus, nbest_lines
-
-# Fragments that reach every tokenizer and chrF boundary: 13a punctuation and
-# digit rules, HTML entities, <skipped>, whitespace runs and non-ASCII.
-_FRAGMENTS = (
-    "a", "b", "cat", "the", " ", "  ", "\t", "\n", ".", ",", "-", "!", "(", "'s",
-    "1", "3.5", "1,000", "9-", "&quot;", "&amp;", "&lt;", "&gt;", "<skipped>",
-    "é", "straße", "日本",
-)
-_TEXTS = st.lists(st.sampled_from(_FRAGMENTS), max_size=10).map("".join)
-
-
-@st.composite
-def hypothesis_lists(draw):
-    # drawing members from a small pool of texts puts duplicates in the list
-    pool = draw(st.lists(_TEXTS, min_size=1, max_size=12))
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
 
 
 def small_corpus():

@@ -2,13 +2,14 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbdistill.metrics import (
     NGramStats,
     corpus_bleu,
     corpus_chrf,
     corpus_stats,
+    hyp_stats,
     sentence_bleu,
     sentence_chrf,
     sentence_stats,
@@ -21,9 +22,25 @@ from oracles import (
     bf_sentence_chrf,
     bf_sentence_stats,
 )
+from reference_stats import reference_hyp_stats, reference_tokenize_13a
+from strategies import TEXTS, hypothesis_lists
 from synth import make_corpus
 
 DATA = Path(__file__).parent / "data"
+
+# plain word references make closest-length ties with hypotheses common
+_WORDS = st.lists(st.sampled_from(["a", "b", "cat", "the"]), max_size=8).map(" ".join)
+_REFS = st.lists(st.one_of(TEXTS, _WORDS), min_size=1, max_size=3)
+# text over the characters the 13a rules and the normalisation act on
+_HOSTILE = st.text(" \t\n-&;.,:!?()'\"<>/@[]{}0123456789aé")
+
+
+@st.composite
+def corpora(draw):
+    lists = draw(st.lists(hypothesis_lists(), min_size=1, max_size=4))
+    refs = [draw(_REFS) for _ in lists]
+    picks = [draw(st.integers(0, len(texts) - 1)) for texts in lists]
+    return lists, refs, picks
 
 
 class TestTokenizer13a:
@@ -35,6 +52,11 @@ class TestTokenizer13a:
 
     def test_digit_internal_period_kept(self):
         assert tokenize_13a("3.5 km") == ["3.5", "km"]
+
+    @settings(max_examples=500)
+    @given(st.one_of(TEXTS, _HOSTILE, st.text()))
+    def test_equal_to_frozen_rule_set(self, text):
+        assert tokenize_13a(text) == reference_tokenize_13a(text)
 
     def test_reference_fixture_byte_for_byte(self):
         inputs = (DATA / "tok13a_input.txt").read_text(encoding="utf-8").split("\n")[:-1]
@@ -153,6 +175,37 @@ class TestCorpusBleu:
         after = sentence_stats(hyp, refs + [extra])
         for order in range(4):
             assert after.clipped_matches[order] >= before.clipped_matches[order]
+
+
+class TestHypStats:
+    @settings(max_examples=200)
+    @given(corpora())
+    @example(([["a b c d e"]], [["a b c d", "a b c d e f"]], [0]))  # tied ref lengths
+    @example(([["", "a", "a", ""], ["b"]], [["cat", "&amp; <skipped>\n1,000"], ["a"]], [1, 0]))
+    def test_equal_to_per_hypothesis_loop(self, case):
+        lists, refs, picks = case
+        table = hyp_stats(lists, refs)
+        want_stats, want_gains = reference_hyp_stats(lists, refs)
+        n_max = max(len(texts) for texts in lists)
+        assert table.stats.shape == (len(lists), n_max, 10)
+        for sid, texts in enumerate(lists):
+            n = len(texts)
+            got = [
+                NGramStats(tuple(r[0:4]), tuple(r[4:8]), r[8], r[9])
+                for r in table.stats[sid, :n].tolist()
+            ]
+            assert repr(got) == repr(want_stats[sid])
+            assert repr(table.gains[sid, :n].tolist()) == repr(want_gains[sid])
+            assert table.valid[sid].tolist() == [True] * n + [False] * (n_max - n)
+            assert not table.stats[sid, n:].any()
+        total = NGramStats.zero()
+        for sid, pick in enumerate(picks):
+            total = total + want_stats[sid][pick]
+        assert repr(table.bleu(picks)) == repr(corpus_bleu(total))
+
+    def test_reference_lists_must_match(self):
+        with pytest.raises(ValueError):
+            hyp_stats([["a"], ["b"]], [["a"]])
 
 
 class TestSentenceBleu:

@@ -11,12 +11,12 @@ from nbdistill.mira import (
     MiraConfig,
     WeightVector,
     _update_on_sentence,
-    evaluate_weights,
     hope_fear,
     load_weights,
     tune_mira,
     write_weights,
 )
+from nbdistill.rerank import rerank
 from synth import make_corpus, make_planted_instance, nbest_lines
 
 
@@ -176,6 +176,7 @@ class TestUpdateStep:
 
 
 class TestEvaluateWeights:
+    # corpus BLEU of a weight vector's argmax selection, as rerank reports it
     def test_one_hot_total_equals_rank0_bleu(self):
         corpus, refset, matrix, refs, hyps = build(10, 4, seed=6)
         # fixture precondition: rank order follows the total score
@@ -186,14 +187,14 @@ class TestEvaluateWeights:
             matrix.feature_names,
             tuple(1.0 if n == "total" else 0.0 for n in matrix.feature_names),
         )
-        value = evaluate_weights(matrix, corpus, refset, one_hot)
+        value = rerank(matrix, corpus, one_hot, refs=refset).corpus_score.value
         top1 = [h[0] for h in hyps]
         assert value == corpus_bleu(corpus_stats(top1, refs)).value
 
     def test_zero_weights_select_rank0(self):
         corpus, refset, matrix, refs, hyps = build(10, 4, seed=7)
         zeros = WeightVector(matrix.feature_names, (0.0,) * matrix.num_features)
-        value = evaluate_weights(matrix, corpus, refset, zeros)
+        value = rerank(matrix, corpus, zeros, refs=refset).corpus_score.value
         top1 = [h[0] for h in hyps]
         assert value == corpus_bleu(corpus_stats(top1, refs)).value
 
@@ -209,13 +210,13 @@ class TestEvaluateWeights:
         refset = ReferenceSet((("c d",), ("e f",)))
         matrix = assemble_matrix(corpus, passthrough=["f"])
         weights = WeightVector(("f",), (1.0,))
-        assert evaluate_weights(matrix, corpus, refset, weights) == 100.0
+        assert rerank(matrix, corpus, weights, refs=refset).corpus_score.value == 100.0
 
     def test_name_mismatch(self):
         corpus, refset, matrix, _, _ = build(3, 2)
         wrong = WeightVector(("x",) * matrix.num_features, (1.0,) * matrix.num_features)
         with pytest.raises(ValueError, match="match"):
-            evaluate_weights(matrix, corpus, refset, wrong)
+            rerank(matrix, corpus, wrong, refs=refset)
 
 
 class TestWeightsIO:

@@ -5,8 +5,8 @@ import pytest
 
 from nbdistill.corpus import ReferenceSet, load_nbest
 from nbdistill.features import assemble_matrix
-from nbdistill.metrics import sentence_bleu
-from nbdistill.mira import WeightVector, evaluate_weights
+from nbdistill.metrics import NGramStats, corpus_bleu, sentence_bleu
+from nbdistill.mira import WeightVector
 from nbdistill.rerank import (
     SelectionMask,
     beam_sweep,
@@ -16,6 +16,7 @@ from nbdistill.rerank import (
     select_models,
 )
 from oracles import bf_argmax_dot, bf_topk_by_magnitude
+from reference_stats import reference_hyp_stats
 from synth import make_corpus, nbest_lines
 
 
@@ -78,11 +79,15 @@ class TestRerank:
             for sid, arr in enumerate(matrix.values):
                 assert result.selections[sid] == bf_argmax_dot(arr.tolist(), ws)
 
-    def test_rerank_score_agrees_with_evaluate_weights(self):
+    def test_rerank_score_agrees_with_reference_stats(self):
         corpus, refset, matrix = build(8, 4, seed=4)
         weights = WeightVector(matrix.feature_names, (0.3, 1.0, -0.2, 0.05))
-        via_rerank = rerank(matrix, corpus, weights, refs=refset).corpus_score.value
-        assert via_rerank == evaluate_weights(matrix, corpus, refset, weights)
+        result = rerank(matrix, corpus, weights, refs=refset)
+        stats, _ = reference_hyp_stats([corpus.texts(s) for s in range(8)], refset.refs)
+        total = NGramStats.zero()
+        for sid, pick in enumerate(result.selections):
+            total = total + stats[sid][pick]
+        assert result.corpus_score == corpus_bleu(total)
 
 
 class TestSelectModels:
@@ -202,9 +207,8 @@ class TestBeamSweep:
         rng = random.Random(1)
         for _ in range(20):
             ws = tuple(rng.uniform(-1, 1) for _ in matrix.feature_names)
-            score = evaluate_weights(
-                matrix, corpus, refset, WeightVector(matrix.feature_names, ws)
-            )
+            weights = WeightVector(matrix.feature_names, ws)
+            score = rerank(matrix, corpus, weights, refs=refset).corpus_score.value
             assert rows[0].oracle >= score - 1e-9
             assert rows[0].anti_oracle <= score + 1e-9
 
@@ -218,6 +222,38 @@ class TestBeamSweep:
         refset = ReferenceSet((("a b",), ("d e",)))
         rows, short_lists = beam_sweep(corpus, refset, [2])
         assert short_lists == 1
+
+    def test_ragged_lists_match_reference_loop(self):
+        _, refs, hyps = make_corpus(12, 8, seed=16, num_refs=2, max_edits=1)
+        hyps = [h[: 1 + sid % 8] for sid, h in enumerate(hyps)]  # lengths 1..8
+        corpus = load_nbest(nbest_lines(hyps))
+        refset = ReferenceSet(tuple(tuple(r) for r in refs))
+        stats, gains = reference_hyp_stats(hyps, refs)
+
+        def corpus_score(picks):
+            total = NGramStats.zero()
+            for sid, pick in enumerate(picks):
+                total = total + stats[sid][pick]
+            return corpus_bleu(total)
+
+        def first(values, pick):
+            return values.index(pick(values))
+
+        sizes = [1, 2, 3, 5, 8]
+        want = []
+        for n in sizes:
+            best = [first(g[:n], max) for g in gains]
+            worst = [first(g[:n], min) for g in gains]
+            want.append((corpus_score(worst).value, corpus_score([0] * 12).value,
+                         corpus_score(best).value))
+        rows, short_lists = beam_sweep(corpus, refset, sizes)
+        assert repr([(r.anti_oracle, r.top1, r.oracle) for r in rows]) == repr(want)
+        assert short_lists == sum(len(h) < n for n in sizes for h in hyps)
+        for mode, pick in (("oracle", max), ("anti_oracle", min)):
+            result = oracle_select(corpus, refset, mode)
+            picks = [first(g, pick) for g in gains]
+            assert list(result.selections) == picks
+            assert result.corpus_score == corpus_score(picks)
 
     def test_size_validation(self):
         corpus, refset, _ = build(3, 4, seed=13)
