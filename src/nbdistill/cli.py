@@ -10,42 +10,43 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import corpus as corpus_io
 from . import metrics
-from .distill import kd_top1, ki_select, rerank_labels
-from .features import assemble_matrix, load_matrix, write_matrix
-from .mira import MiraConfig, load_weights, tune_mira, write_weights
+from .corpus import (
+    load_file, load_nbest, load_reference_files, load_sources, write_pseudo_labels, write_text,
+)
+from .distill import kd_top1, ki_select
+from .mira import MiraConfig
 from .pipeline import (
     HookError,
     PipelineConfig,
+    assemble_file,
+    rerank_file,
+    rerank_labels_file,
     run_selftrain,
     status_table,
+    tune_file,
 )
-from .rerank import beam_sweep, format_sweep, oracle_select, rerank, select_models
+from .rerank import beam_sweep, format_selections, format_sweep, oracle_select
+
+
+def _names(arg: str | None) -> list[str]:
+    return [item for item in (arg or "").split(",") if item]
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
+    return [line.rstrip("\n") for line in load_file(path, list)]
 
 
-def _load_refs(paths: str) -> corpus_io.ReferenceSet:
-    streams = [_read_lines(p) for p in paths.split(",") if p]
-    return corpus_io.load_references(streams)
-
-
-def _load_nbest(path: str) -> corpus_io.NBestCorpus:
-    with open(path, encoding="utf-8") as f:
-        return corpus_io.load_nbest(f)
-
-
-def _out(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _emit(text: str, path: str | None) -> None:
+    if path:
+        write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_evaluate(args) -> int:
     hyps = _read_lines(args.hyp)
-    ref_files = [p for p in args.refs.split(",") if p]
+    ref_files = _names(args.refs)
     ref_columns = [_read_lines(p) for p in ref_files]
     for col in ref_columns:
         if len(col) != len(hyps):
@@ -69,57 +70,27 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    corpus = _load_nbest(args.nbest)
-    passthrough = [n for n in (args.passthrough or "").split(",") if n]
-    native = [n for n in (args.native or "").split(",") if n]
-    tables = []
+    scores = []
     for item in args.scores or []:
         name, _, path = item.partition("=")
         if not path:
             raise ValueError(f"--scores expects NAME=FILE, got {item!r}")
-        with open(path, encoding="utf-8") as f:
-            tables.append(corpus_io.load_scores(f, name))
-    matrix = assemble_matrix(corpus, passthrough, native, tables)
-    with _out(args.out) as f:
-        write_matrix(matrix, f)
+        scores.append((name, path))
+    assemble_file(args.nbest, args.out, _names(args.passthrough), _names(args.native), scores)
     return 0
 
 
 def cmd_tune(args) -> int:
-    with open(args.matrix, encoding="utf-8") as f:
-        matrix = load_matrix(f)
-    corpus = _load_nbest(args.nbest)
-    refs = _load_refs(args.refs)
     config = MiraConfig(c=args.c, epochs=args.epochs, seed=args.seed, init=args.init)
-    run = tune_mira(matrix, corpus, refs, config)
-    with _out(args.out) as f:
-        write_weights(
-            run.best_weights,
-            f,
-            best_epoch=run.best_epoch,
-            tune_bleu=run.history[run.best_epoch][1],
-        )
+    tune_file(args.matrix, args.nbest, _names(args.refs), config, args.out)
     return 0
 
 
-def _write_selections(result, out) -> None:
-    for sid, (rank, text) in enumerate(zip(result.selections, result.selected_texts)):
-        out.write(f"{sid}\t{rank}\t{text}\n")
-
-
 def cmd_rerank(args) -> int:
-    with open(args.matrix, encoding="utf-8") as f:
-        matrix = load_matrix(f)
-    corpus = _load_nbest(args.nbest)
-    with open(args.weights, encoding="utf-8") as f:
-        weights = load_weights(f)
-    mask = None
-    if args.top_k_models is not None:
-        mask = select_models(weights, args.top_k_models)
-    refs = _load_refs(args.refs) if args.refs else None
-    result = rerank(matrix, corpus, weights, mask=mask, refs=refs)
-    with _out(args.out) as f:
-        _write_selections(result, f)
+    result, mask = rerank_file(
+        args.matrix, args.nbest, args.weights, args.out,
+        models=args.top_k_models, refs=_names(args.refs),
+    )
     if args.report:
         if result.corpus_score is not None:
             print(f"BLEU\t{result.corpus_score.value:.4f}")
@@ -129,8 +100,8 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    corpus = _load_nbest(args.nbest)
-    refs = _load_refs(args.refs)
+    corpus = load_file(args.nbest, load_nbest)
+    refs = load_reference_files(_names(args.refs))
     mode = "anti_oracle" if args.mode == "anti" else "oracle"
     print(
         "note: greedy per-sentence selection by smoothed sentence BLEU "
@@ -138,51 +109,35 @@ def cmd_oracle(args) -> int:
         file=sys.stderr,
     )
     if args.sweep:
-        sizes = [int(n) for n in args.sweep.split(",") if n]
-        rows, short_lists = beam_sweep(corpus, refs, sizes)
-        rendered = format_sweep(rows)
-        if args.out:
-            with _out(args.out) as f:
-                f.write(rendered)
-        else:
-            sys.stdout.write(rendered)
+        rows, short_lists = beam_sweep(corpus, refs, [int(n) for n in _names(args.sweep)])
+        _emit(format_sweep(rows), args.out)
         if short_lists:
             print(f"warning: {short_lists} truncated list(s)", file=sys.stderr)
         return 0
     result = oracle_select(corpus, refs, mode=mode)
-    if args.out:
-        with _out(args.out) as f:
-            _write_selections(result, f)
-    else:
-        _write_selections(result, sys.stdout)
+    _emit(format_selections(result), args.out)
     print(f"BLEU\t{result.corpus_score.value:.4f}")
     return 0
 
 
 def cmd_distill(args) -> int:
-    corpus = _load_nbest(args.nbest)
-    with open(args.src, encoding="utf-8") as f:
-        sources = corpus_io.load_sources(f)
-    if args.strategy == "kd":
-        labels = kd_top1(corpus)
-    elif args.strategy == "ki":
-        if not args.orig_refs:
-            raise ValueError("--strategy ki requires --orig-refs")
-        labels = ki_select(corpus, _load_refs(args.orig_refs))
-    else:
+    if args.strategy == "rerank":
         if not (args.matrix and args.weights):
             raise ValueError("--strategy rerank requires --matrix and --weights")
-        with open(args.matrix, encoding="utf-8") as f:
-            matrix = load_matrix(f)
-        with open(args.weights, encoding="utf-8") as f:
-            weights = load_weights(f)
-        mask = None
-        if args.top_k_models is not None:
-            mask = select_models(weights, args.top_k_models)
-        labels = rerank_labels(matrix, corpus, weights, mask)
-    paths = corpus_io.write_pseudo_labels(
-        sources, labels.as_mapping(), args.out, args.format
-    )
+        paths = rerank_labels_file(
+            args.matrix, args.nbest, args.weights, args.src, args.out, args.format,
+            models=args.top_k_models,
+        )
+    else:
+        corpus = load_file(args.nbest, load_nbest)
+        if args.strategy == "kd":
+            labels = kd_top1(corpus)
+        elif not args.orig_refs:
+            raise ValueError("--strategy ki requires --orig-refs")
+        else:
+            labels = ki_select(corpus, load_reference_files(_names(args.orig_refs)))
+        sources = load_file(args.src, load_sources)
+        paths = write_pseudo_labels(sources, labels.labels, args.out, args.format)
     for p in paths:
         print(p)
     return 0
@@ -269,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftrain", help="run the iterative self-training loop")
     p.add_argument("--config", required=True)
-    p.add_argument("--resume", action="store_true",
-                   help="explicitly allow resuming (re-runs always resume from markers)")
     p.set_defaults(func=cmd_selftrain)
 
     p = sub.add_parser("status", help="print the iteration ledger")

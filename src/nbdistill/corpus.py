@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
 SEP = " ||| "
 
@@ -200,6 +200,22 @@ def load_nbest(stream: Iterable[str]) -> NBestCorpus:
     return NBestCorpus(tuple(tuple(entries) for entries in lists))
 
 
+def load_file(path: str | Path, load: Callable, *args):
+    """``load(stream, *args)`` over the UTF-8 text of ``path``."""
+    with open(path, encoding="utf-8") as f:
+        return load(f, *args)
+
+
+def open_out(path: str | Path) -> TextIO:
+    """Open ``path`` for UTF-8 output with ``\\n`` line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with open_out(path) as f:
+        f.write(text)
+
+
 def _fmt(value: float) -> str:
     # repr round-trips doubles exactly, keeping load/write/load the identity
     return repr(float(value))
@@ -270,28 +286,32 @@ def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
     return ReferenceSet(tuple(zip(*columns)))
 
 
+def load_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
+    """A multi-reference set from one line-aligned file per reference."""
+    return load_references([load_file(p, list) for p in paths])
+
+
 def load_sources(stream: Iterable[str]) -> SourceCorpus:
     return SourceCorpus(tuple(_read_lines(stream, "source")))
 
 
 def write_pseudo_labels(
     sources: SourceCorpus,
-    labels: Mapping[int, str],
+    labels: Sequence[str],
     out_prefix: str | Path,
     fmt: str = "tsv",
 ) -> List[Path]:
     """Emit (source, label) pairs in sentence-id order; byte-identical across runs.
 
-    ``fmt`` is ``"parallel"`` (aligned ``.src``/``.tgt`` files) or ``"tsv"``
-    (two-column ``SOURCE<TAB>TARGET``).  Returns the written paths.
+    ``labels[i]`` is the label of sentence ``i``.  ``fmt`` is ``"parallel"``
+    (aligned ``.src``/``.tgt`` files) or ``"tsv"`` (two-column
+    ``SOURCE<TAB>TARGET``).  Returns the written paths.
     """
     n = len(sources)
-    have = set(labels)
-    want = set(range(n))
-    if want - have:
-        raise ValueError(f"missing label for sentence {min(want - have)}")
-    if have - want:
-        raise ValueError(f"label for unknown sentence {min(have - want)}")
+    if len(labels) < n:
+        raise ValueError(f"missing label for sentence {len(labels)}")
+    if len(labels) > n:
+        raise ValueError(f"label for unknown sentence {n}")
     ordered = [labels[i] for i in range(n)]
     for i, lab in enumerate(ordered):
         if "\n" in lab or "\r" in lab:
@@ -300,12 +320,8 @@ def write_pseudo_labels(
     if fmt == "parallel":
         src_path = Path(prefix + ".src")
         tgt_path = Path(prefix + ".tgt")
-        with open(src_path, "w", encoding="utf-8", newline="\n") as f:
-            for s in sources.sentences:
-                f.write(s + "\n")
-        with open(tgt_path, "w", encoding="utf-8", newline="\n") as f:
-            for lab in ordered:
-                f.write(lab + "\n")
+        write_text(src_path, "".join(s + "\n" for s in sources.sentences))
+        write_text(tgt_path, "".join(lab + "\n" for lab in ordered))
         return [src_path, tgt_path]
     if fmt == "tsv":
         for i, (s, lab) in enumerate(zip(sources.sentences, ordered)):
@@ -314,8 +330,7 @@ def write_pseudo_labels(
             if "\t" in s:
                 raise ValueError(f"source sentence {i} contains a tab (tsv format)")
         tsv_path = Path(prefix + ".tsv")
-        with open(tsv_path, "w", encoding="utf-8", newline="\n") as f:
-            for s, lab in zip(sources.sentences, ordered):
-                f.write(f"{s}\t{lab}\n")
+        pairs = zip(sources.sentences, ordered)
+        write_text(tsv_path, "".join(f"{s}\t{lab}\n" for s, lab in pairs))
         return [tsv_path]
     raise ValueError(f"unknown output format {fmt!r}")

@@ -26,11 +26,11 @@ from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import NBestCorpus, ReferenceSet
+from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float
 from .features import FeatureMatrix
 from .metrics import hyp_stats
 
-INIT_MODES = ("zeros", "uniform", "given")
+INIT_MODES = ("zeros", "uniform")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class MiraConfig:
     epochs: int = 30
     seed: int = 0
     init: str = "zeros"
-    init_weights: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.c <= 0:
@@ -65,8 +64,6 @@ class MiraConfig:
             raise ValueError("epochs must be >= 1")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
-        if self.init == "given" and self.init_weights is None:
-            raise ValueError("init 'given' requires init_weights")
 
 
 @dataclass(frozen=True)
@@ -91,18 +88,13 @@ def _check_aligned(
 
 def _init_array(config: MiraConfig, names: Sequence[str]) -> np.ndarray:
     m = len(names)
-    if config.init == "zeros":
-        lam = np.zeros(m)
-        # start from the generating model's own ranking when available
-        if "total" in names:
-            lam[list(names).index("total")] = 1.0
-        return lam
     if config.init == "uniform":
         return np.full(m, 1.0 / m)
-    given = np.asarray(config.init_weights, dtype=np.float64)
-    if given.shape != (m,):
-        raise ValueError(f"init_weights must have length {m}")
-    return given.copy()
+    lam = np.zeros(m)
+    # start from the generating model's own ranking when available
+    if "total" in names:
+        lam[list(names).index("total")] = 1.0
+    return lam
 
 
 def hope_fear(model_scores: np.ndarray, gains: np.ndarray) -> Tuple[int, int]:
@@ -202,7 +194,10 @@ def load_weights(stream: Iterable[str]) -> WeightVector:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected NAME<TAB>WEIGHT")
+            raise FormatError("expected NAME<TAB>WEIGHT", lineno)
+        value = _parse_float(parts[1], lineno, "weight")
+        if not math.isfinite(value):
+            raise FormatError(f"non-finite weight {parts[1]!r}", lineno)
         names.append(parts[0])
-        values.append(float(parts[1]))
+        values.append(value)
     return WeightVector(tuple(names), tuple(values))

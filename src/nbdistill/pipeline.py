@@ -1,4 +1,8 @@
-"""Self-training orchestration.
+"""Self-training orchestration, and the file-level steps it shares with the CLI.
+
+The file-level steps ``assemble_file``, ``tune_file``, ``rerank_file`` and
+``rerank_labels_file`` back both the CLI commands and the self-training
+stages, so a stage writes the same bytes as its command.
 
 Each iteration shells out to user-supplied hook commands for the expensive,
 model-dependent work (n-best generation, external feature scoring) and runs
@@ -8,15 +12,17 @@ the in-process stages in a fixed order:
 
 Hook command templates get ``{ITER}``, ``{IN}`` and ``{OUT}`` substituted
 (the two paths shell-quoted, so templates must not quote them again) and run
-with the iteration directory as working directory.  Teacher
+with the iteration directory as working directory.  A hook fails its stage
+when it exits nonzero or leaves ``{OUT}`` unwritten.  Teacher
 retraining/finetuning lives entirely inside the ``generate_nbest`` hook; the
 orchestrator's contract is files in, files out.
 
-Every stage writes its outputs under ``workdir/iterN/`` and drops an empty
-``.<stage>.done`` marker when complete, so a killed run resumes at the first
-incomplete stage and (for deterministic hooks) reproduces identical bytes.
-Completed iterations are recorded in an append-only ``ledger.jsonl``
-(guarded by whole-file replace-on-write).
+Every stage writes its outputs under ``workdir/iterN/``.  ``run_iteration``
+runs the stages from a table, dropping an empty ``.<stage>.done`` marker after
+each, so a killed run resumes at the first incomplete stage and (for
+deterministic hooks) reproduces identical bytes.  Completed iterations are
+recorded in an append-only ``ledger.jsonl`` (guarded by whole-file
+replace-on-write).
 
 The loop stops when the configured maximum number of iterations is reached,
 or when the dev-set BLEU gain over the previous iteration falls below
@@ -35,27 +41,32 @@ import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .corpus import (
+    NBestCorpus,
+    load_file,
     load_nbest,
-    load_references,
+    load_reference_files,
     load_scores,
     load_sources,
+    open_out,
     write_pseudo_labels,
+    write_text,
 )
 from .distill import rerank_labels
-from .features import assemble_matrix, load_matrix, write_matrix, NATIVE_FEATURES
-from .mira import MiraConfig, load_weights, tune_mira, write_weights
-from .rerank import SelectionMask, rerank, select_models
+from .features import FeatureMatrix, assemble_matrix, load_matrix, write_matrix, NATIVE_FEATURES
+from .mira import MiraConfig, TuneRun, WeightVector, load_weights, tune_mira, write_weights
+from .rerank import (
+    RerankResult, SelectionMask, format_selections, rank_models, rerank, select_models,
+)
 
-STAGES = ("generate_nbest", "scores", "assemble", "tune", "select", "distill", "evaluate")
 DATA_SETS = ("tune", "dev", "transfer")
 LEDGER_NAME = "ledger.jsonl"
 
 
 class HookError(RuntimeError):
-    """An external hook command exited nonzero."""
+    """An external hook command exited nonzero or did not write its output."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +86,6 @@ class PipelineConfig:
     iterations_max: int = 3
     min_delta: float = 0.1
     label_format: str = "tsv"
-    test_src: Optional[Path] = None
-    test_refs: Tuple[Path, ...] = ()
 
     def validate(self) -> None:
         if self.iterations_max < 1:
@@ -120,6 +129,7 @@ class PipelineConfig:
         Both carry the same sections: pipeline, data, features, hooks, mira.
         Relative paths are resolved against the config file's directory,
         made absolute so that hooks running in ``workdir/iterN`` find them.
+        Keys the loop does not read, such as ``data.test_src``, are ignored.
         """
         p = Path(path)
         text = p.read_text(encoding="utf-8")
@@ -151,8 +161,7 @@ class PipelineConfig:
             return base / str(value)
 
         def path_list(value: object) -> Tuple[Path, ...]:
-            items = value if isinstance(value, list) else str(value).split(",")
-            return tuple(base / str(v).strip() for v in items if str(v).strip())
+            return tuple(base / name for name in name_list(value))
 
         def name_list(value: object) -> Tuple[str, ...]:
             items = value if isinstance(value, list) else str(value).split(",")
@@ -171,8 +180,6 @@ class PipelineConfig:
             dev_src=one_path(require(data, "data", "dev_src")),
             dev_refs=path_list(require(data, "data", "dev_refs")),
             transfer_src=one_path(require(data, "data", "transfer_src")),
-            test_src=one_path(data["test_src"]) if "test_src" in data else None,
-            test_refs=path_list(data.get("test_refs", "")),
             hooks=hooks,
             passthrough=name_list(feats.get("passthrough", "")),
             native=name_list(feats.get("native", "")),
@@ -193,7 +200,6 @@ class IterationState:
     labels_path: str
     started: str
     finished: str
-    hook_statuses: Dict[str, int]
 
 
 def _utc_now() -> str:
@@ -215,6 +221,9 @@ def read_ledger(path: str | Path) -> List[IterationState]:
                 continue
             try:
                 obj = json.loads(line)
+                if isinstance(obj, dict):
+                    # earlier versions recorded hook exit statuses, always 0
+                    obj.pop("hook_statuses", None)
                 states.append(IterationState(**obj))
             except (json.JSONDecodeError, TypeError) as exc:
                 raise ValueError(f"{p}: bad ledger entry on line {lineno}: {exc}") from None
@@ -234,16 +243,73 @@ def _append_ledger(path: Path, state: IterationState) -> None:
     os.replace(tmp, path)
 
 
-def _run_hook(
-    template: str, iter_n: int, in_path: Path, out_path: Path, cwd: Path, stage: str
-) -> int:
+def assemble_file(
+    nbest: str | Path, out: str | Path, passthrough: Sequence[str] = (),
+    native: Sequence[str] = (), scores: Sequence[Tuple[str, str | Path]] = (),
+) -> None:
+    """Write the feature matrix of an n-best file; ``scores`` holds the
+    external score tables as (feature name, path) pairs."""
+    corpus = load_file(nbest, load_nbest)
+    tables = [load_file(path, load_scores, name) for name, path in scores]
+    matrix = assemble_matrix(corpus, passthrough, native, tables)
+    with open_out(out) as f:
+        write_matrix(matrix, f)
+
+
+def tune_file(
+    matrix: str | Path, nbest: str | Path, refs: Sequence[str | Path],
+    config: MiraConfig, out: str | Path,
+) -> TuneRun:
+    """Tune MIRA weights on a matrix and its n-best file; write the best ones."""
+    corpus = load_file(nbest, load_nbest)
+    run = tune_mira(load_file(matrix, load_matrix), corpus, load_reference_files(refs), config)
+    best = run.best_epoch
+    with open_out(out) as f:
+        write_weights(run.best_weights, f, best_epoch=best, tune_bleu=run.history[best][1])
+    return run
+
+
+def _rerank_inputs(
+    matrix: str | Path, nbest: str | Path, weights: str | Path,
+    models: int | SelectionMask | None,
+) -> Tuple[FeatureMatrix, NBestCorpus, WeightVector, Optional[SelectionMask]]:
+    """The arguments of ``rerank``; ``models`` is a mask, or k for ``select_models``."""
+    loaded = load_file(weights, load_weights)
+    mask = select_models(loaded, models) if isinstance(models, int) else models
+    return load_file(matrix, load_matrix), load_file(nbest, load_nbest), loaded, mask
+
+
+def rerank_file(
+    matrix: str | Path, nbest: str | Path, weights: str | Path, out: str | Path,
+    models: int | SelectionMask | None = None, refs: Sequence[str | Path] = (),
+) -> Tuple[RerankResult, Optional[SelectionMask]]:
+    """Write the ``SID<TAB>RANK<TAB>TEXT`` selections of the reranker and
+    return them with the mask applied; ``refs`` add the corpus BLEU."""
+    inputs = _rerank_inputs(matrix, nbest, weights, models)
+    result = rerank(*inputs, refs=load_reference_files(refs) if refs else None)
+    write_text(out, format_selections(result))
+    return result, inputs[-1]
+
+
+def rerank_labels_file(
+    matrix: str | Path, nbest: str | Path, weights: str | Path, src: str | Path,
+    out_prefix: str | Path, fmt: str = "tsv", models: int | SelectionMask | None = None,
+) -> List[Path]:
+    """Write the reranker's pseudo-labels for the sources in ``src``;
+    returns the written paths."""
+    labels = rerank_labels(*_rerank_inputs(matrix, nbest, weights, models))
+    return write_pseudo_labels(load_file(src, load_sources), labels.labels, out_prefix, fmt)
+
+
+def _run_hook(it: _Iteration, hook: str, set_name: str, in_path: Path, out_path: Path) -> None:
+    stage = f"{hook}[{set_name}]"
     cmd = (
-        template.replace("{ITER}", str(iter_n))
+        it.config.hooks[hook].replace("{ITER}", str(it.n))
         .replace("{IN}", shlex.quote(str(in_path)))
         .replace("{OUT}", shlex.quote(str(out_path)))
     )
     proc = subprocess.run(
-        cmd, shell=True, cwd=str(cwd), capture_output=True, text=True
+        cmd, shell=True, cwd=str(it.dir), capture_output=True, text=True
     )
     if proc.returncode != 0:
         tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
@@ -251,16 +317,80 @@ def _run_hook(
         if tail:
             message += "\n" + tail
         raise HookError(message)
-    return proc.returncode
+    if not out_path.exists():
+        raise HookError(f"stage {stage}: hook exited 0 without writing {out_path}: {cmd}")
 
 
-def _open(path: Path):
-    return open(path, encoding="utf-8")
+class _Iteration:
+    """The config, number and file layout of one iteration."""
+
+    def __init__(self, config: PipelineConfig, n: int):
+        self.config = config
+        self.n = n
+        self.dir = Path(config.workdir) / f"iter{n}"
+        self.nbest = {name: self.dir / f"nbest.{name}.txt" for name in DATA_SETS}
+        self.matrix = {name: self.dir / f"matrix.{name}.tsv" for name in DATA_SETS}
+        self.weights = self.dir / "weights.tsv"
+        self.selected = self.dir / "selected.txt"
+        self.dev_bleu = self.dir / "dev_bleu.txt"
+
+    def scores(self, feature: str, set_name: str) -> Path:
+        return self.dir / f"scores.{feature}.{set_name}.tsv"
+
+    def mask(self) -> SelectionMask:
+        """The models the ``select`` stage wrote."""
+        names = [line.strip() for line in self.selected.read_text(encoding="utf-8").splitlines()]
+        return SelectionMask(frozenset(filter(None, names)), self.config.top_k_models)
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+def _generate_nbest(it: _Iteration) -> None:
+    for name in DATA_SETS:
+        _run_hook(it, "generate_nbest", name, getattr(it.config, f"{name}_src"), it.nbest[name])
+
+
+def _scores(it: _Iteration) -> None:
+    for feature in it.config.external:
+        for name in DATA_SETS:
+            _run_hook(it, f"score_{feature}", name, it.nbest[name], it.scores(feature, name))
+
+
+def _assemble(it: _Iteration) -> None:
+    config = it.config
+    for name in DATA_SETS:
+        scores = [(feature, it.scores(feature, name)) for feature in config.external]
+        assemble_file(it.nbest[name], it.matrix[name], config.passthrough, config.native, scores)
+
+
+def _tune(it: _Iteration) -> None:
+    tune_file(it.matrix["tune"], it.nbest["tune"], it.config.tune_refs, it.config.mira, it.weights)
+
+
+def _select(it: _Iteration) -> None:
+    weights = load_file(it.weights, load_weights)
+    mask = select_models(weights, it.config.top_k_models)
+    write_text(it.selected, "".join(f"{n}\n" for n in rank_models(weights) if n in mask.active))
+
+
+def _distill(it: _Iteration) -> None:
+    rerank_labels_file(
+        it.matrix["transfer"], it.nbest["transfer"], it.weights, it.config.transfer_src,
+        it.dir / "labels", it.config.label_format, models=it.mask(),
+    )
+
+
+def _evaluate(it: _Iteration) -> None:
+    result, _ = rerank_file(
+        it.matrix["dev"], it.nbest["dev"], it.weights, it.dir / "selections.dev.tsv",
+        models=it.mask(), refs=it.config.dev_refs,
+    )
+    write_text(it.dev_bleu, repr(result.corpus_score.value) + "\n")
+
+
+_STAGE_TABLE: Tuple[Tuple[str, Callable[[_Iteration], None]], ...] = (
+    ("generate_nbest", _generate_nbest), ("scores", _scores), ("assemble", _assemble),
+    ("tune", _tune), ("select", _select), ("distill", _distill), ("evaluate", _evaluate),
+)
+STAGES = tuple(name for name, _ in _STAGE_TABLE)
 
 
 def run_iteration(
@@ -268,8 +398,7 @@ def run_iteration(
 ) -> IterationState:
     """Run (or resume) one iteration and append its ledger entry."""
     iter_n = (prev.iter if prev else 0) + 1
-    workdir = Path(config.workdir)
-    ledger = ledger_path(workdir)
+    ledger = ledger_path(config.workdir)
     for state in read_ledger(ledger):
         if state.iter == iter_n:
             return state
@@ -277,168 +406,22 @@ def run_iteration(
         raise ValueError(
             f"iteration {iter_n} needs the previous labels: {prev.labels_path}"
         )
-    itdir = workdir / f"iter{iter_n}"
-    itdir.mkdir(parents=True, exist_ok=True)
+    it = _Iteration(config, iter_n)
+    it.dir.mkdir(parents=True, exist_ok=True)
     started = _utc_now()
-    hook_statuses: Dict[str, int] = {}
-
-    def marker(stage: str) -> Path:
-        return itdir / f".{stage}.done"
-
-    def is_done(stage: str) -> bool:
-        return marker(stage).exists()
-
-    def complete(stage: str) -> None:
-        marker(stage).touch()
-
-    set_sources = {
-        "tune": Path(config.tune_src),
-        "dev": Path(config.dev_src),
-        "transfer": Path(config.transfer_src),
-    }
-    sources = tuple((name, set_sources[name]) for name in DATA_SETS)
-    nbest_path = {name: itdir / f"nbest.{name}.txt" for name, _ in sources}
-    matrix_path = {name: itdir / f"matrix.{name}.tsv" for name, _ in sources}
-    weights_file = itdir / "weights.tsv"
-    selected_file = itdir / "selected.txt"
-    labels_prefix = itdir / "labels"
-    labels_file = labels_prefix.with_name(
-        "labels.tsv" if config.label_format == "tsv" else "labels.tgt"
-    )
-    dev_bleu_file = itdir / "dev_bleu.txt"
-    dev_selections_file = itdir / "selections.dev.tsv"
-
-    def scores_file(feature: str, set_name: str) -> Path:
-        return itdir / f"scores.{feature}.{set_name}.tsv"
-
-    if not is_done("generate_nbest"):
-        for set_name, src in sources:
-            status = _run_hook(
-                config.hooks["generate_nbest"],
-                iter_n,
-                src,
-                nbest_path[set_name],
-                itdir,
-                stage=f"generate_nbest[{set_name}]",
-            )
-            hook_statuses[f"generate_nbest.{set_name}"] = status
-        complete("generate_nbest")
-
-    if not is_done("scores"):
-        for feature in config.external:
-            template = config.hooks[f"score_{feature}"]
-            for set_name, _ in sources:
-                status = _run_hook(
-                    template,
-                    iter_n,
-                    nbest_path[set_name],
-                    scores_file(feature, set_name),
-                    itdir,
-                    stage=f"score_{feature}[{set_name}]",
-                )
-                hook_statuses[f"score_{feature}.{set_name}"] = status
-        complete("scores")
-
-    if not is_done("assemble"):
-        for set_name, _ in sources:
-            with _open(nbest_path[set_name]) as f:
-                corpus = load_nbest(f)
-            tables = []
-            for feature in config.external:
-                with _open(scores_file(feature, set_name)) as f:
-                    tables.append(load_scores(f, feature))
-            matrix = assemble_matrix(corpus, config.passthrough, config.native, tables)
-            with open(matrix_path[set_name], "w", encoding="utf-8", newline="\n") as f:
-                write_matrix(matrix, f)
-        complete("assemble")
-
-    if not is_done("tune"):
-        with _open(nbest_path["tune"]) as f:
-            tune_corpus = load_nbest(f)
-        with _open(matrix_path["tune"]) as f:
-            tune_matrix = load_matrix(f)
-        ref_streams = [open(p, encoding="utf-8") for p in config.tune_refs]
-        try:
-            tune_refs = load_references(ref_streams)
-        finally:
-            for s in ref_streams:
-                s.close()
-        run = tune_mira(tune_matrix, tune_corpus, tune_refs, config.mira)
-        with open(weights_file, "w", encoding="utf-8", newline="\n") as f:
-            write_weights(
-                run.best_weights,
-                f,
-                best_epoch=run.best_epoch,
-                tune_bleu=run.history[run.best_epoch][1],
-            )
-        complete("tune")
-
-    if not is_done("select"):
-        with _open(weights_file) as f:
-            weights = load_weights(f)
-        mask = select_models(weights, config.top_k_models)
-        ranked = sorted(
-            zip(weights.feature_names, weights.weights),
-            key=lambda nw: (-abs(nw[1]), nw[0]),
-        )
-        active_in_order = [name for name, _ in ranked if name in mask.active]
-        _write_text(selected_file, "".join(name + "\n" for name in active_in_order))
-        complete("select")
-
-    def read_mask() -> SelectionMask:
-        names = [line.strip() for line in selected_file.read_text(encoding="utf-8").splitlines() if line.strip()]
-        return SelectionMask(frozenset(names), config.top_k_models)
-
-    if not is_done("distill"):
-        with _open(nbest_path["transfer"]) as f:
-            transfer_corpus = load_nbest(f)
-        with _open(matrix_path["transfer"]) as f:
-            transfer_matrix = load_matrix(f)
-        with _open(weights_file) as f:
-            weights = load_weights(f)
-        labels = rerank_labels(transfer_matrix, transfer_corpus, weights, read_mask())
-        with _open(Path(config.transfer_src)) as f:
-            transfer_sources = load_sources(f)
-        write_pseudo_labels(
-            transfer_sources, labels.as_mapping(), labels_prefix, config.label_format
-        )
-        complete("distill")
-
-    if not is_done("evaluate"):
-        with _open(nbest_path["dev"]) as f:
-            dev_corpus = load_nbest(f)
-        with _open(matrix_path["dev"]) as f:
-            dev_matrix = load_matrix(f)
-        with _open(weights_file) as f:
-            weights = load_weights(f)
-        ref_streams = [open(p, encoding="utf-8") for p in config.dev_refs]
-        try:
-            dev_refs = load_references(ref_streams)
-        finally:
-            for s in ref_streams:
-                s.close()
-        result = rerank(dev_matrix, dev_corpus, weights, read_mask(), refs=dev_refs)
-        _write_text(
-            dev_selections_file,
-            "".join(
-                f"{sid}\t{rank}\t{text}\n"
-                for sid, (rank, text) in enumerate(
-                    zip(result.selections, result.selected_texts)
-                )
-            ),
-        )
-        _write_text(dev_bleu_file, repr(result.corpus_score.value) + "\n")
-        complete("evaluate")
-
-    dev_bleu = float(dev_bleu_file.read_text(encoding="utf-8").strip())
+    for stage, run_stage in _STAGE_TABLE:
+        marker = it.dir / f".{stage}.done"
+        if not marker.exists():
+            run_stage(it)
+            marker.touch()
+    labels = "labels.tsv" if config.label_format == "tsv" else "labels.tgt"
     state = IterationState(
         iter=iter_n,
-        dev_bleu=dev_bleu,
-        weights_path=str(weights_file),
-        labels_path=str(labels_file),
+        dev_bleu=float(it.dev_bleu.read_text(encoding="utf-8").strip()),
+        weights_path=str(it.weights),
+        labels_path=str(it.dir / labels),
         started=started,
         finished=_utc_now(),
-        hook_statuses=hook_statuses,
     )
     _append_ledger(ledger, state)
     return state
@@ -494,7 +477,7 @@ def run_selftrain(config: PipelineConfig) -> Tuple[IterationState, str]:
         "stop_reason": reason,
         "labels": str(final_labels),
     }
-    _write_text(workdir / "final.json", json.dumps(summary, sort_keys=True) + "\n")
+    write_text(workdir / "final.json", json.dumps(summary, sort_keys=True) + "\n")
     return best, reason
 
 

@@ -49,16 +49,20 @@ class SweepRow:
     oracle: float
 
 
-def select_models(weights: WeightVector, k: int) -> SelectionMask:
-    """Keep the k largest-magnitude features; ties break lexicographically."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def rank_models(weights: WeightVector) -> List[str]:
+    """Feature names by decreasing absolute weight; ties break lexicographically."""
     ranked = sorted(
         zip(weights.feature_names, weights.weights),
         key=lambda nw: (-abs(nw[1]), nw[0]),
     )
-    active = frozenset(name for name, _ in ranked[: min(k, len(ranked))])
-    return SelectionMask(active, k)
+    return [name for name, _ in ranked]
+
+
+def select_models(weights: WeightVector, k: int) -> SelectionMask:
+    """Keep the k largest-magnitude features; ties break lexicographically."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return SelectionMask(frozenset(rank_models(weights)[:k]), k)
 
 
 def _masked_weights(weights: WeightVector, mask: Optional[SelectionMask]) -> np.ndarray:
@@ -119,13 +123,10 @@ def oracle_select(
     corpus: NBestCorpus,
     refs: ReferenceSet,
     mode: str = "oracle",
-    metric: str = "sentence_bleu",
 ) -> RerankResult:
     """Greedy per-sentence best (oracle) or worst (anti-oracle) selection."""
     if mode not in ORACLE_MODES:
         raise ValueError(f"mode must be one of {ORACLE_MODES}")
-    if metric != "sentence_bleu":
-        raise ValueError(f"unsupported oracle metric {metric!r}")
     table = _per_hypothesis_bleu(corpus, refs)
     best, worst = _extremes(table, corpus.n_max)
     selections = tuple((best if mode == "oracle" else worst).tolist())
@@ -163,6 +164,12 @@ def beam_sweep(
         oracle, anti = _extremes(table, n)
         rows.append(SweepRow(n, table.bleu(anti).value, top1, table.bleu(oracle).value))
     return rows, short_lists
+
+
+def format_selections(result: RerankResult) -> str:
+    """Render a selection as ``SID<TAB>RANK<TAB>TEXT`` lines."""
+    rows = enumerate(zip(result.selections, result.selected_texts))
+    return "".join(f"{sid}\t{rank}\t{text}\n" for sid, (rank, text) in rows)
 
 
 def format_sweep(rows: Sequence[SweepRow]) -> str:

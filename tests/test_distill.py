@@ -4,13 +4,7 @@ from nbdistill.corpus import ReferenceSet, SourceCorpus, load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, corpus_stats, sentence_bleu
 from nbdistill.mira import MiraConfig, WeightVector, tune_mira
-from nbdistill.distill import (
-    PseudoLabelSet,
-    kd_top1,
-    ki_select,
-    mix_transfer_sets,
-    rerank_labels,
-)
+from nbdistill.distill import kd_top1, ki_select, rerank_labels
 from nbdistill.rerank import select_models
 from synth import make_corpus, nbest_lines
 
@@ -129,48 +123,3 @@ class TestCollapseAtN1:
         rr = rerank_labels(matrix, corpus, weights).labels
         assert kd == ki == rr
 
-
-class TestMixTransferSets:
-    def _pair(self, n, tag, strategy="kd_top1"):
-        sources = SourceCorpus(tuple(f"{tag} src {i}" for i in range(n)))
-        labels = PseudoLabelSet(tuple(f"{tag} lab {i}" for i in range(n)), strategy, tag)
-        return sources, labels
-
-    def test_mono_only(self):
-        merged_src, merged = mix_transfer_sets(mono=self._pair(3, "m"), mode="mono_only")
-        assert len(merged_src) == 3
-        assert merged.labels == ("m lab 0", "m lab 1", "m lab 2")
-
-    def test_bitext_plus_mono_order_and_size(self):
-        merged_src, merged = mix_transfer_sets(
-            bitext=self._pair(2, "b"), mono=self._pair(3, "m"), mode="bitext_plus_mono"
-        )
-        assert len(merged_src) == 5
-        assert merged_src.sentences[:2] == ("b src 0", "b src 1")
-        assert merged.labels[2:] == ("m lab 0", "m lab 1", "m lab 2")
-
-    def test_bitext_only_verbatim(self):
-        bitext = self._pair(4, "b")
-        merged_src, merged = mix_transfer_sets(bitext=bitext, mode="bitext_only")
-        assert merged_src.sentences == bitext[0].sentences
-        assert merged.labels == bitext[1].labels
-
-    def test_missing_set_rejected(self):
-        with pytest.raises(ValueError, match="requires"):
-            mix_transfer_sets(bitext=self._pair(2, "b"), mode="bitext_plus_mono")
-        with pytest.raises(ValueError, match="requires"):
-            mix_transfer_sets(mono=self._pair(2, "m"), mode="bitext_only")
-
-    def test_mismatched_block_rejected(self):
-        sources = SourceCorpus(("one",))
-        labels = PseudoLabelSet(("a", "b"), "kd_top1", "bad")
-        with pytest.raises(ValueError, match="sources"):
-            mix_transfer_sets(bitext=(sources, labels), mode="bitext_only")
-
-    def test_mixed_strategy_tag(self):
-        _, merged = mix_transfer_sets(
-            bitext=self._pair(1, "b", "kd_top1"),
-            mono=self._pair(1, "m", "rerank"),
-            mode="bitext_plus_mono",
-        )
-        assert merged.strategy == "mixed"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nbdistill.corpus import ReferenceSet, load_nbest
+from nbdistill.corpus import FormatError, ReferenceSet, load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, corpus_stats
 from nbdistill.mira import (
@@ -36,8 +36,6 @@ class TestConfig:
             MiraConfig(epochs=0)
         with pytest.raises(ValueError):
             MiraConfig(init="random")
-        with pytest.raises(ValueError):
-            MiraConfig(init="given")
 
 
 class TestTune:
@@ -58,22 +56,11 @@ class TestTune:
         assert init.weights[matrix.feature_names.index("total")] == 1.0
         assert sum(abs(w) for w in init.weights) == 1.0
 
-    def test_uniform_and_given_init(self):
+    def test_uniform_init(self):
         corpus, refset, matrix, _, _ = build(4, 3)
         m = matrix.num_features
         run = tune_mira(matrix, corpus, refset, MiraConfig(epochs=1, init="uniform"))
         assert run.history[0][0].weights == (1.0 / m,) * m
-        given = tuple(float(i) for i in range(m))
-        run = tune_mira(
-            matrix, corpus, refset,
-            MiraConfig(epochs=1, init="given", init_weights=given),
-        )
-        assert run.history[0][0].weights == given
-        with pytest.raises(ValueError, match="length"):
-            tune_mira(
-                matrix, corpus, refset,
-                MiraConfig(epochs=1, init="given", init_weights=(1.0,)),
-            )
 
     def test_tiny_c_pins_weights_to_init(self):
         corpus, refset, matrix, _, _ = build(10, 4, seed=2)
@@ -227,3 +214,17 @@ class TestWeightsIO:
         text = buf.getvalue()
         assert text.endswith("#best_epoch\t4\t#tune_bleu\t52.1234\n")
         assert load_weights(io.StringIO(text)) == weights
+
+    @pytest.mark.parametrize("weight", ["abc", "", "1.5x"])
+    def test_unparseable_weight_names_its_line(self, weight):
+        text = f"a\t0.5\n#comment\nb\t{weight}\n"
+        with pytest.raises(FormatError, match=r"^line 3: unparseable weight") as exc:
+            load_weights(io.StringIO(text))
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_weight_names_its_line(self, weight):
+        text = f"a\t0.5\nb\t{weight}\n"
+        with pytest.raises(FormatError, match=r"^line 2: non-finite weight") as exc:
+            load_weights(io.StringIO(text))
+        assert exc.value.line == 2

@@ -22,7 +22,7 @@ from synth import build_pipeline_fixtures
 
 
 def state(i, bleu):
-    return IterationState(i, bleu, f"w{i}", f"l{i}", "t0", "t1", {})
+    return IterationState(i, bleu, f"w{i}", f"l{i}", "t0", "t1")
 
 
 def minimal_config(tmp_path, **overrides):
@@ -77,6 +77,14 @@ class TestConfig:
         json_path.write_text(json.dumps(sections))
         from_json = PipelineConfig.from_file(json_path)
         assert from_json == from_ini
+
+    def test_test_set_keys_are_accepted_and_ignored(self, tmp_path):
+        ini = build_pipeline_fixtures(tmp_path)
+        with_test = tmp_path / "with_test.ini"
+        with_test.write_text(
+            ini.read_text().replace("[data]", "[data]\ntest_src = dev.src\ntest_refs = dev.ref")
+        )
+        assert PipelineConfig.from_file(with_test) == PipelineConfig.from_file(ini)
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "c.json"
@@ -151,7 +159,6 @@ class TestRunIteration:
         assert state.iter == 1
         assert Path(state.weights_path).is_file()
         assert Path(state.labels_path).is_file()
-        assert set(state.hook_statuses.values()) == {0}
 
         # dev BLEU must equal what the evaluate CLI reports for the persisted
         # dev selections against the dev references
@@ -195,6 +202,18 @@ class TestRunIteration:
         with pytest.raises(HookError, match=r"stage score_lm\[tune\]"):
             run_iteration(config)
 
+    def test_hook_without_output_fails_its_stage(self, tmp_path):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        silent = dataclasses.replace(config, hooks={**config.hooks, "score_lm": "true"})
+        itdir = Path(config.workdir) / "iter1"
+        with pytest.raises(HookError, match=r"stage score_lm\[tune\].*scores\.lm\.tune\.tsv"):
+            run_iteration(silent)
+        assert (itdir / ".generate_nbest.done").exists()
+        assert not (itdir / ".scores.done").exists()
+        # the stage is not marked done, so a fixed hook recovers the workdir
+        state = run_iteration(config)
+        assert Path(state.labels_path).is_file()
+
     def test_hooks_get_quoted_paths_with_spaces(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
         config = dataclasses.replace(config, workdir=tmp_path / "work dir")
@@ -208,6 +227,54 @@ class TestRunIteration:
         again = run_iteration(config)
         assert again == first
         assert len(read_ledger(Path(config.workdir) / "ledger.jsonl")) == 1
+
+
+class TestCliMatchesStages:
+    """Each in-process stage writes what the matching command writes."""
+
+    def test_commands_reproduce_stage_outputs(self, tmp_path, capsys):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        run_iteration(config)
+        itdir = Path(config.workdir) / "iter1"
+        out = tmp_path / "cli"
+        out.mkdir()
+        scores = [
+            arg
+            for feature in config.external
+            for arg in ("--scores", f"{feature}={itdir / f'scores.{feature}.tune.tsv'}")
+        ]
+        commands = {
+            "matrix.tune.tsv": [
+                "assemble", "--nbest", itdir / "nbest.tune.txt",
+                "--passthrough", ",".join(config.passthrough),
+                "--native", ",".join(config.native), *scores,
+                "--out", out / "matrix.tune.tsv",
+            ],
+            "weights.tsv": [
+                "tune", "--matrix", itdir / "matrix.tune.tsv",
+                "--nbest", itdir / "nbest.tune.txt",
+                "--refs", ",".join(str(p) for p in config.tune_refs),
+                "--c", config.mira.c, "--epochs", config.mira.epochs,
+                "--seed", config.mira.seed, "--init", config.mira.init,
+                "--out", out / "weights.tsv",
+            ],
+            "selections.dev.tsv": [
+                "rerank", "--matrix", itdir / "matrix.dev.tsv",
+                "--nbest", itdir / "nbest.dev.txt", "--weights", itdir / "weights.tsv",
+                "--top-k-models", config.top_k_models,
+                "--refs", ",".join(str(p) for p in config.dev_refs),
+                "--out", out / "selections.dev.tsv",
+            ],
+            "labels.tsv": [
+                "distill", "--strategy", "rerank", "--nbest", itdir / "nbest.transfer.txt",
+                "--src", config.transfer_src, "--matrix", itdir / "matrix.transfer.tsv",
+                "--weights", itdir / "weights.tsv", "--top-k-models", config.top_k_models,
+                "--out", out / "labels",
+            ],
+        }
+        for name, argv in commands.items():
+            assert cli_main([str(a) for a in argv]) == 0, name
+            assert (out / name).read_bytes() == (itdir / name).read_bytes(), name
 
 
 class TestSelfTrain:
@@ -319,6 +386,19 @@ class TestLedgerValidation:
         with pytest.raises(ValueError, match="indices"):
             read_ledger(ledger)
 
+    def test_loads_entries_with_hook_statuses(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        entry = {
+            "iter": 1,
+            "dev_bleu": 1.5,
+            "weights_path": "w",
+            "labels_path": "l",
+            "started": "t0",
+            "finished": "t1",
+        }
+        ledger.write_text(json.dumps({**entry, "hook_statuses": {"generate_nbest.tune": 0}}) + "\n")
+        assert read_ledger(ledger) == [IterationState(**entry)]
+
     def test_rejects_garbage_line(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text("{not json\n")
@@ -338,7 +418,7 @@ class TestSelfTrainCli:
         table = capsys.readouterr().out
         assert table.splitlines()[0].startswith("iter")
         # re-running resumes off the ledger without re-executing hooks
-        assert cli_main(["selftrain", "--config", str(config_path), "--resume"]) == 0
+        assert cli_main(["selftrain", "--config", str(config_path)]) == 0
 
     def test_relative_config_path(self, tmp_path, monkeypatch, capsys):
         build_pipeline_fixtures(tmp_path, iterations=1)

@@ -177,8 +177,6 @@ class TestOracle:
         corpus, refset, _ = build(2, 2)
         with pytest.raises(ValueError):
             oracle_select(corpus, refset, "best")
-        with pytest.raises(ValueError):
-            oracle_select(corpus, refset, metric="sentence_chrf")
 
 
 class TestBeamSweep:
