@@ -16,7 +16,6 @@ from .corpus import (
     ReferenceSet,
     SourceCorpus,
     load_nbest,
-    load_parallel,
     load_references,
     load_scores,
     load_sources,

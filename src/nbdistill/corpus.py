@@ -262,17 +262,6 @@ def _read_lines(stream: Iterable[str], name: str) -> List[str]:
     return lines
 
 
-def load_parallel(
-    source_stream: Iterable[str], target_stream: Iterable[str]
-) -> Tuple[SourceCorpus, ReferenceSet]:
-    """Load aligned one-sentence-per-line bitext; line i becomes sentence id i."""
-    src = _read_lines(source_stream, "source")
-    tgt = _read_lines(target_stream, "target")
-    if len(src) != len(tgt):
-        raise FormatError(f"line count mismatch {len(src)} vs {len(tgt)}")
-    return SourceCorpus(tuple(src)), ReferenceSet(tuple((t,) for t in tgt))
-
-
 def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
     """Zip one or more aligned reference streams into a multi-reference set."""
     if not streams:

@@ -4,7 +4,8 @@ A feature matrix holds, for every sentence, an (n_hypotheses x M) array of
 real-valued model scores, column-indexed by feature name.  Columns come from
 three places, in this order: passthroughs of the scores already present in
 the n-best file, natively computed features (consensus utilities and length
-ballast), and external score tables produced out of process.
+ballast), and external score tables produced out of process.  Assembly checks
+every input before it computes any feature, then builds each list's block.
 
 Native features:
 
@@ -42,6 +43,7 @@ from .metrics import (
 )
 
 NATIVE_FEATURES = ("mbr_bleu", "mbr_chrf", "len", "len_ratio")
+MBR_UTILITIES = {"mbr_bleu": "sentence_bleu", "mbr_chrf": "sentence_chrf"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +52,10 @@ class FeatureMatrix:
 
     feature_names: Tuple[str, ...]
     values: Tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for arr in self.values:
+            arr.flags.writeable = False
 
     @property
     def num_sentences(self) -> int:
@@ -151,7 +157,8 @@ def length_features(texts: Sequence[str]) -> Tuple[List[float], List[float]]:
     """13a token counts and their ratio to the list's mean count."""
     if not texts:
         raise ValueError("empty hypothesis list")
-    counts = [float(len(tokenize_13a(t))) for t in texts]
+    lengths = {t: float(len(tokenize_13a(t))) for t in dict.fromkeys(texts)}
+    counts = [lengths[t] for t in texts]
     mean = sum(counts) / len(counts)
     ratios = [c / mean if mean > 0 else 1.0 for c in counts]
     return counts, ratios
@@ -195,59 +202,44 @@ def assemble_matrix(
     """Fan all configured feature sources into one validated matrix.
 
     Column order is: passthrough names, native features, external tables,
-    each in the order given.  Every external table must cover exactly the
-    corpus's (sentence, rank) set; feature names must be unique; every cell
-    must be finite.
+    each in the order given.  Before any feature is computed, names must be
+    unique, every external table must cover exactly the corpus's (sentence,
+    rank) set, and every passthrough and external value must be finite.
     """
-    columns: List[Tuple[str, List[List[float]]]] = []
-    columns.extend(passthrough_features(corpus, passthrough))
-
+    names = (*passthrough, *native, *(table.feature_name for table in external_tables))
+    if not names:
+        raise ValueError("zero features configured")
     for feature in native:
         if feature not in NATIVE_FEATURES:
             raise ValueError(f"unknown native feature {feature!r}")
-    need_lengths = "len" in native or "len_ratio" in native
-    native_cols: Dict[str, List[List[float]]] = {name: [] for name in native}
-    for entries in corpus.lists:
-        texts = [e.text for e in entries]
-        if "mbr_bleu" in native_cols:
-            native_cols["mbr_bleu"].append(mbr_utility(texts, "sentence_bleu"))
-        if "mbr_chrf" in native_cols:
-            native_cols["mbr_chrf"].append(mbr_utility(texts, "sentence_chrf"))
-        if need_lengths:
-            counts, ratios = length_features(texts)
-            if "len" in native_cols:
-                native_cols["len"].append(counts)
-            if "len_ratio" in native_cols:
-                native_cols["len_ratio"].append(ratios)
-    for name in native:
-        columns.append((name, native_cols[name]))
-
-    for table in external_tables:
-        table.validate_against(corpus)
-        per_sentence = [
-            [table.scores[(sid, rank)] for rank in range(len(entries))]
-            for sid, entries in enumerate(corpus.lists)
-        ]
-        columns.append((table.feature_name, per_sentence))
-
-    if not columns:
-        raise ValueError("zero features configured")
-    names = tuple(name for name, _ in columns)
     seen = set()
     for name in names:
         if name in seen:
             raise ValueError(f"duplicate feature name {name!r}")
         seen.add(name)
-
-    values = []
-    for sid in range(corpus.num_sentences):
-        arr = np.array(
-            [col[sid] for _, col in columns], dtype=np.float64
-        ).T.copy()
-        if not np.isfinite(arr).all():
+    for table in external_tables:
+        table.validate_against(corpus)
+    passed = [col for _, col in passthrough_features(corpus, passthrough)]
+    given = []  # each list's passthrough rows, then its external rows
+    for sid, entries in enumerate(corpus.lists):
+        rows = [col[sid] for col in passed] + [
+            [t.scores[(sid, rank)] for rank in range(len(entries))] for t in external_tables
+        ]
+        if not np.isfinite(rows).all():
             raise ValueError(f"non-finite feature value at sentence {sid}")
-        arr.flags.writeable = False
-        values.append(arr)
+        given.append(rows)
+
+    p = len(passed)
+    values = []
+    for rows, entries in zip(given, corpus.lists):
+        texts = [e.text for e in entries]
+        computed: Dict[str, List[float]] = {}
+        for name in native:
+            if name in MBR_UTILITIES:
+                computed[name] = mbr_utility(texts, MBR_UTILITIES[name])
+            elif name not in computed:
+                computed["len"], computed["len_ratio"] = length_features(texts)
+        values.append(np.column_stack(rows[:p] + [computed[name] for name in native] + rows[p:]))
     return FeatureMatrix(names, tuple(values))
 
 
@@ -298,9 +290,4 @@ def load_matrix(stream: Iterable[str]) -> FeatureMatrix:
         rows[sid].append(vals)
     if not rows:
         raise FormatError("matrix has no rows")
-    values = []
-    for sent in rows:
-        arr = np.array(sent, dtype=np.float64)
-        arr.flags.writeable = False
-        values.append(arr)
-    return FeatureMatrix(names, tuple(values))
+    return FeatureMatrix(names, tuple(np.array(sent, dtype=np.float64) for sent in rows))

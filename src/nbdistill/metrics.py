@@ -213,23 +213,20 @@ def corpus_stats(
     return total
 
 
-def corpus_bleu(stats: NGramStats, smoothing: str = "exp") -> BleuScore:
+def corpus_bleu(stats: NGramStats) -> BleuScore:
     """BLEU from sufficient statistics.
 
-    Precisions are clipped_matches / hyp_ngrams per order.  Under ``exp``
-    smoothing the j-th successive zero-match order gets 1 / (2^j * hyp_ngrams);
-    under ``none`` any zero-match order zeroes the score.  Orders with
-    hyp_ngrams == 0 are skipped.  All-zero statistics score 0.0 by definition.
+    Precisions are clipped_matches / hyp_ngrams per order; under exp smoothing
+    the j-th successive zero-match order gets 1 / (2^j * hyp_ngrams).  Orders
+    with hyp_ngrams == 0 are skipped.  All-zero statistics score 0.0 by
+    definition.
     """
-    if smoothing not in ("exp", "none"):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
     if stats.hyp_len == 0:
         return BleuScore(0.0, (0.0, 0.0, 0.0, 0.0), 0.0)
     precisions = [0.0] * NGRAM_ORDER
     log_sum = 0.0
     n_orders = 0
     zero_scale = 1
-    positive = True
     for o in range(NGRAM_ORDER):
         total = stats.hyp_ngrams[o]
         if total == 0:
@@ -237,27 +234,21 @@ def corpus_bleu(stats: NGramStats, smoothing: str = "exp") -> BleuScore:
         n_orders += 1
         correct = stats.clipped_matches[o]
         if correct == 0:
-            if smoothing == "exp":
-                zero_scale *= 2
-                p = 1.0 / (zero_scale * total)
-            else:
-                p = 0.0
+            zero_scale *= 2
+            p = 1.0 / (zero_scale * total)
         else:
             p = correct / total
         precisions[o] = p
-        if p > 0.0:
-            log_sum += math.log(p)
-        else:
-            positive = False
+        log_sum += math.log(p)
     bp = min(1.0, math.exp(1.0 - stats.ref_len / stats.hyp_len))
-    value = 100.0 * bp * math.exp(log_sum / n_orders) if positive else 0.0
+    value = 100.0 * bp * math.exp(log_sum / n_orders)
     return BleuScore(value, tuple(precisions), bp)
 
 
-def sentence_bleu(hyp: str, refs: Sequence[str], smoothing: str = "exp") -> float:
+def sentence_bleu(hyp: str, refs: Sequence[str]) -> float:
     """Smoothed BLEU of a single sentence, in [0, 100]."""
     stats = sentence_stats(tokenize_13a(hyp), [tokenize_13a(r) for r in refs])
-    return corpus_bleu(stats, smoothing).value
+    return corpus_bleu(stats).value
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,16 @@ from .rerank import (
 
 DATA_SETS = ("tune", "dev", "transfer")
 LEDGER_NAME = "ledger.jsonl"
+# The keys each config section accepts (docs/config-schema.json); [hooks] also
+# accepts any score_<name>.
+CONFIG_KEYS = {
+    "pipeline": {"workdir", "iterations_max", "min_delta", "top_k_models", "label_format"},
+    "data": {"tune_src", "tune_refs", "dev_src", "dev_refs", "transfer_src",
+             "test_src", "test_refs"},
+    "features": {"passthrough", "native", "external"},
+    "hooks": {"generate_nbest"},
+    "mira": {"c", "epochs", "seed", "init"},
+}
 
 
 class HookError(RuntimeError):
@@ -129,7 +139,8 @@ class PipelineConfig:
         Both carry the same sections: pipeline, data, features, hooks, mira.
         Relative paths are resolved against the config file's directory,
         made absolute so that hooks running in ``workdir/iterN`` find them.
-        Keys the loop does not read, such as ``data.test_src``, are ignored.
+        An unknown section or key is an error; ``data.test_src`` and
+        ``data.test_refs`` are accepted and ignored.
         """
         p = Path(path)
         text = p.read_text(encoding="utf-8")
@@ -141,11 +152,19 @@ class PipelineConfig:
             cp.read_string(text)
             sections = {name: dict(cp[name]) for name in cp.sections()}
         base = p.absolute().parent
+        for name in sections:
+            if name not in CONFIG_KEYS:
+                raise ValueError(f"unknown config section {name!r}")
 
         def section(name: str) -> dict:
             sec = sections.get(name, {})
             if not isinstance(sec, dict):
                 raise ValueError(f"config section {name!r} must be a mapping")
+            for key in sec:
+                if key not in CONFIG_KEYS[name] and not (
+                    name == "hooks" and key.startswith("score_") and key != "score_"
+                ):
+                    raise ValueError(f"unknown config key '{name}.{key}'")
             return sec
 
         pipe, data, feats = section("pipeline"), section("data"), section("features")

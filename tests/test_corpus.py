@@ -9,9 +9,9 @@ from nbdistill.corpus import (
     NBestEntry,
     SourceCorpus,
     load_nbest,
-    load_parallel,
     load_references,
     load_scores,
+    load_sources,
     write_nbest,
     write_pseudo_labels,
 )
@@ -165,23 +165,11 @@ class TestLoadScores:
 
 
 class TestParallel:
-    def test_empty_streams(self):
-        src, refs = load_parallel([], [])
-        assert len(src) == 0
-        assert refs.num_sentences == 0
-
-    def test_line_count_mismatch(self):
-        with pytest.raises(FormatError, match="line count mismatch 2 vs 3"):
-            load_parallel(["a", "b"], ["x", "y", "z"])
-
-    def test_ids_are_line_numbers(self):
-        src, refs = load_parallel(["s0", "s1"], ["t0", "t1"])
-        assert src.sentences == ("s0", "s1")
-        assert refs.refs == (("t0",), ("t1",))
-
     def test_empty_line_rejected(self):
-        with pytest.raises(FormatError, match="empty line"):
-            load_parallel(["a", "   "], ["x", "y"])
+        with pytest.raises(FormatError, match="line 2: empty line in source stream"):
+            load_sources(["a", "   "])
+        with pytest.raises(FormatError, match="line 1: empty line in reference 1 stream"):
+            load_references([["x", "y"], ["", "y"]])
 
     def test_multi_reference_zip(self):
         refs = load_references([["r0a", "r1a"], ["r0b", "r1b"]])

@@ -14,11 +14,14 @@ from nbdistill.features import (
     passthrough_features,
     write_matrix,
 )
-from nbdistill.metrics import sentence_bleu, sentence_chrf
+from nbdistill.metrics import sentence_bleu, sentence_chrf, tokenize_13a
 from oracles import bf_mbr_utilities, bf_sentence_bleu
 from reference_mbr import reference_mbr_utility
 from strategies import hypothesis_lists
 from synth import make_corpus, nbest_lines
+
+
+ALL_KEYS = ["0\t0\t1.0", "0\t1\t1.0", "1\t0\t1.0", "1\t1\t1.0"]
 
 
 def small_corpus():
@@ -105,6 +108,22 @@ class TestLengthFeatures:
         _, ratios = length_features(["a b", "a b c d"])
         assert ratios == pytest.approx([2 / 3, 4 / 3])
 
+    def test_one_tokenization_per_distinct_text(self, monkeypatch):
+        texts = ["a b", "c d e", "a b", "f", "c d e", "a b"]
+        seen = []
+
+        def counting(text):
+            seen.append(text)
+            return tokenize_13a(text)
+
+        monkeypatch.setattr("nbdistill.features.tokenize_13a", counting)
+        counts, ratios = length_features(texts)
+        assert sorted(seen) == sorted(set(texts))
+        per_text = [float(len(tokenize_13a(t))) for t in texts]
+        mean = sum(per_text) / len(per_text)
+        assert counts == per_text
+        assert ratios == [c / mean for c in per_text]
+
 
 class TestPassthrough:
     def test_total_column(self):
@@ -170,6 +189,39 @@ class TestAssemble:
         corpus = load_nbest(["0 ||| a ||| lm= inf ||| 1.0"])
         with pytest.raises(ValueError, match="non-finite"):
             assemble_matrix(corpus, passthrough=["lm"])
+
+    @pytest.mark.parametrize(
+        "nbest, table_lines, table_name, message",
+        [
+            ("lm= -1.0", ALL_KEYS[:3], "e",
+             "score table 'e' does not match corpus: missing \\(1,1\\)"),
+            ("lm= -1.0", ALL_KEYS, "lm", "duplicate feature name 'lm'"),
+            ("lm= nan", ALL_KEYS, "e", "non-finite feature value at sentence 1"),
+        ],
+        ids=["table-missing-key", "passthrough-named-like-table", "nan-in-last-sentence"],
+    )
+    def test_input_faults_raise_before_any_mbr(
+        self, monkeypatch, nbest, table_lines, table_name, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("mbr_utility ran before the inputs were checked")
+
+        monkeypatch.setattr("nbdistill.features.mbr_utility", fail)
+        corpus = load_nbest(
+            [
+                "0 ||| a b c ||| lm= -1.0 ||| 3.0",
+                "0 ||| a b d ||| lm= -1.5 ||| 2.0",
+                "1 ||| p q ||| lm= -0.5 ||| 4.0",
+                f"1 ||| p q r ||| {nbest} ||| 3.5",
+            ]
+        )
+        with pytest.raises(ValueError, match=message):
+            assemble_matrix(
+                corpus,
+                passthrough=["lm"],
+                native=("mbr_bleu", "mbr_chrf"),
+                external_tables=[load_scores(table_lines, table_name)],
+            )
 
     def test_unknown_native_feature(self):
         with pytest.raises(ValueError, match="unknown native feature"):

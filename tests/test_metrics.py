@@ -136,15 +136,6 @@ class TestCorpusBleu:
         assert score.precisions[2] == pytest.approx(1.0 / 2.0)
         assert score.brevity_penalty == pytest.approx(math.exp(1.0 - 4.0 / 3.0))
 
-    def test_smoothing_none_zeroes_on_zero_match(self):
-        stats = sentence_stats("x y z w v".split(), ["a b c d e".split()])
-        assert corpus_bleu(stats, smoothing="none").value == 0.0
-        assert corpus_bleu(stats, smoothing="exp").value > 0.0
-
-    def test_unknown_smoothing(self):
-        with pytest.raises(ValueError):
-            corpus_bleu(NGramStats.zero(), smoothing="floor")
-
     def test_additivity_under_regrouping(self):
         _, refs, hyps = make_corpus(8, 1, seed=3)
         pairs = [(hyps[i][0], refs[i]) for i in range(len(hyps))]

@@ -8,6 +8,7 @@ from nbdistill.cli import main as cli_main
 from nbdistill.metrics import corpus_bleu, corpus_stats
 from nbdistill.mira import MiraConfig
 from nbdistill.pipeline import (
+    CONFIG_KEYS,
     HookError,
     IterationState,
     PipelineConfig,
@@ -19,6 +20,8 @@ from nbdistill.pipeline import (
     stopping_reason,
 )
 from synth import build_pipeline_fixtures
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def state(i, bleu):
@@ -85,6 +88,50 @@ class TestConfig:
             ini.read_text().replace("[data]", "[data]\ntest_src = dev.src\ntest_refs = dev.ref")
         )
         assert PipelineConfig.from_file(with_test) == PipelineConfig.from_file(ini)
+
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("[pipeline]", "iteration_max = 9", "unknown config key 'pipeline.iteration_max'"),
+            ("[mira]", "epoch = 50", "unknown config key 'mira.epoch'"),
+            ("[hooks]", "rescore = true", "unknown config key 'hooks.rescore'"),
+            ("[hooks]", "score_ = true", "unknown config key 'hooks.score_'"),
+            ("[mira]", "[extra]\nx = 1", "unknown config section 'extra'"),
+        ],
+        ids=["pipeline-key", "mira-key", "hook", "unnamed-score-hook", "section"],
+    )
+    def test_unknown_keys_and_sections_rejected(self, tmp_path, section, line, message):
+        ini = build_pipeline_fixtures(tmp_path)
+        ini.write_text(ini.read_text().replace(section, f"{section}\n{line}"))
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_file(ini)
+
+    def test_unknown_json_key_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"pipeline": {"workdir": "w"}, "data": {"dev_ref": "x"}}))
+        with pytest.raises(ValueError, match="unknown config key 'data.dev_ref'"):
+            PipelineConfig.from_file(path)
+
+    def test_known_keys_are_the_schema_properties(self):
+        schema = json.loads((ROOT / "docs" / "config-schema.json").read_text())
+        sections = schema["properties"]
+        assert set(CONFIG_KEYS) == set(sections)
+        for name, keys in CONFIG_KEYS.items():
+            assert keys == set(sections[name]["properties"]), name
+        assert set(sections["hooks"]["patternProperties"]) == {"^score_.+$"}
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Self-training configuration", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        ini = tmp_path / "selftrain.ini"
+        ini.write_text(block, encoding="utf-8")
+        for name in ("tune.src", "tune.ref0", "tune.ref1", "dev.src", "dev.ref", "transfer.src"):
+            (tmp_path / name).write_text("a\n")
+        config = PipelineConfig.from_file(ini)
+        config.validate()
+        assert (config.mira.init, config.min_delta, config.label_format) == ("zeros", 0.1, "tsv")
+        assert config.external == ("laser", "bwd")
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "c.json"
@@ -345,6 +392,23 @@ class TestSelfTrain:
             a = crash_work / f"iter{it}" / "weights.tsv"
             b = Path(clean_config.workdir) / f"iter{it}" / "weights.tsv"
             assert a.read_bytes() == b.read_bytes()
+
+    def test_parallel_label_format(self, tmp_path):
+        ini = build_pipeline_fixtures(tmp_path, iterations=2)
+        ini.write_text(ini.read_text().replace("[pipeline]", "[pipeline]\nlabel_format = parallel"))
+        config = PipelineConfig.from_file(ini)
+        best, _ = run_selftrain(config)
+        workdir = Path(config.workdir)
+        states = read_ledger(workdir / "ledger.jsonl")
+        assert [s.iter for s in states] == [1, 2]
+        assert all(s.labels_path.endswith("labels.tgt") for s in states)
+        best_labels = Path(best.labels_path)
+        for suffix in (".src", ".tgt"):
+            assert (workdir / f"final.labels{suffix}").read_bytes() == (
+                best_labels.with_suffix(suffix).read_bytes()
+            )
+        summary = json.loads((workdir / "final.json").read_text())
+        assert Path(summary["labels"]).name == "final.labels.tgt"
 
     def test_rerun_on_finished_workdir_is_stable(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
