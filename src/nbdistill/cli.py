@@ -33,10 +33,6 @@ def _names(arg: str | None) -> list[str]:
     return [item for item in (arg or "").split(",") if item]
 
 
-def _read_lines(path: str) -> list[str]:
-    return [line.rstrip("\n") for line in load_file(path, list)]
-
-
 def _emit(text: str, path: str | None) -> None:
     if path:
         write_text(path, text)
@@ -45,15 +41,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = _read_lines(args.hyp)
+    hyps = [line.rstrip("\n") for line in load_file(args.hyp, list)]
     ref_files = _names(args.refs)
-    ref_columns = [_read_lines(p) for p in ref_files]
-    for col in ref_columns:
-        if len(col) != len(hyps):
-            raise ValueError(
-                f"line count mismatch {len(hyps)} vs {len(col)}"
-            )
-    refs = list(zip(*ref_columns)) if hyps else []
+    refs = load_reference_files(ref_files).refs
+    if len(refs) != len(hyps):
+        raise ValueError(f"line count mismatch {len(hyps)} vs {len(refs)}")
     k = len(ref_files)
     if args.metric == "bleu":
         stats = metrics.corpus_stats(hyps, refs)

@@ -22,6 +22,7 @@ is immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
@@ -263,10 +264,16 @@ def _read_lines(stream: Iterable[str], name: str) -> List[str]:
 
 
 def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
-    """Zip one or more aligned reference streams into a multi-reference set."""
+    """Zip one or more aligned reference streams into a multi-reference set.
+
+    An error names a stream by its ``name`` (an open file's path) when it has
+    one, and by its 0-based position otherwise.
+    """
     if not streams:
         raise ValueError("at least one reference stream required")
-    columns = [_read_lines(s, f"reference {i}") for i, s in enumerate(streams)]
+    columns = [
+        _read_lines(s, f"reference {getattr(s, 'name', i)!r}") for i, s in enumerate(streams)
+    ]
     counts = {len(c) for c in columns}
     if len(counts) > 1:
         raise FormatError(
@@ -277,7 +284,8 @@ def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
 
 def load_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
     """A multi-reference set from one line-aligned file per reference."""
-    return load_references([load_file(p, list) for p in paths])
+    with ExitStack() as stack:
+        return load_references([stack.enter_context(open(p, encoding="utf-8")) for p in paths])
 
 
 def load_sources(stream: Iterable[str]) -> SourceCorpus:

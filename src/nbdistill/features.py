@@ -23,9 +23,8 @@ then one ``SID<TAB>RANK<TAB>V1..VM`` row per hypothesis.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .metrics import (
     _char_ngrams,
     _chrf_from_stats,
     _collapse,
+    _ngram_counts,
     _ngrams,
     corpus_bleu,
     tokenize_13a,
@@ -79,32 +79,23 @@ class FeatureMatrix:
                 )
 
 
-def _pairwise_overlaps(counts: Sequence[Sequence[Counter]]) -> List[List[List[int]]]:
+def _pairwise_overlaps(
+    texts: Sequence, grams_of: Callable, orders: int
+) -> List[List[List[int]]]:
     """Multiset intersection sizes of every pair of texts, per n-gram order.
 
-    ``counts[i][o]`` holds the n-grams of order ``o + 1`` of text ``i``; the
-    result ``out[i][j][o]`` is ``sum((counts[i][o] & counts[j][o]).values())``.
-    Each order's n-grams get list-local integer ids, so one (n, V) count
-    matrix per order gives a whole row of pairs per vectorised min-and-sum.
-    Integer sums are exact, hence identical to the per-pair Counters.
+    ``out[i][j][o]`` is the number of the order ``o + 1`` n-grams
+    (``grams_of(text, o + 1)``) that texts ``i`` and ``j`` share, with
+    multiplicity, so ``out[i][i][o]`` counts all of text ``i``'s.  One
+    ``metrics._ngram_counts`` matrix per order gives a whole row of pairs per
+    vectorised min-and-sum, and integer sums are exact.
     """
-    n = len(counts)
-    orders = len(counts[0])
+    n = len(texts)
     out = np.zeros((n, n, orders), dtype=np.int64)
     for o in range(orders):
-        ids: Dict[object, int] = {}
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[int] = []
-        for i, per_order in enumerate(counts):
-            for gram, count in per_order[o].items():
-                rows.append(i)
-                cols.append(ids.setdefault(gram, len(ids)))
-                vals.append(count)
-        matrix = np.zeros((n, len(ids)), dtype=np.int64)
-        matrix[rows, cols] = vals
-        for i in range(n):
-            out[i, :, o] = np.minimum(matrix[i], matrix).sum(axis=1)
+        counts = _ngram_counts(grams_of(t, o + 1) for t in texts)
+        for i, row in enumerate(counts):
+            out[i, :, o] = np.minimum(row, counts).sum(axis=1)
     return out.tolist()
 
 
@@ -122,27 +113,19 @@ def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[fl
     if utility == "sentence_bleu":
         toks = [tokenize_13a(t) for t in texts]
         lens = [len(t) for t in toks]
-        totals = [tuple(max(0, k - o) for o in range(NGRAM_ORDER)) for k in lens]
-        overlaps = _pairwise_overlaps(
-            [[Counter(_ngrams(t, o)) for o in range(1, NGRAM_ORDER + 1)] for t in toks]
-        )
+        overlaps = _pairwise_overlaps(toks, _ngrams, NGRAM_ORDER)
 
         def pair(i: int, j: int) -> float:
-            stats = NGramStats(tuple(overlaps[i][j]), totals[i], lens[i], lens[j])
+            stats = NGramStats(tuple(overlaps[i][j]), tuple(overlaps[i][i]), lens[i], lens[j])
             return corpus_bleu(stats).value
 
     elif utility == "sentence_chrf":
         chars = [_collapse(t) for t in texts]
-        totals = [
-            [max(0, len(c) - o) for o in range(CHRF_CHAR_ORDER)] for c in chars
-        ]
-        overlaps = _pairwise_overlaps(
-            [[Counter(_char_ngrams(c, o)) for o in range(1, CHRF_CHAR_ORDER + 1)]
-             for c in chars]
-        )
+        overlaps = _pairwise_overlaps(chars, _char_ngrams, CHRF_CHAR_ORDER)
 
         def pair(i: int, j: int) -> float:
-            return _chrf_from_stats(list(zip(totals[i], totals[j], overlaps[i][j]))).value
+            stats = list(zip(overlaps[i][i], overlaps[j][j], overlaps[i][j]))
+            return _chrf_from_stats(stats).value
 
     else:
         raise ValueError(f"unknown MBR utility {utility!r}")

@@ -14,16 +14,18 @@ All functions are pure; corpus aggregation is an associative, commutative
 reduction over per-sentence NGramStats.  ``hyp_stats`` tabulates the
 statistics of every n-best hypothesis once, so corpus BLEU of any selection is
 an integer sum over that table.
+
+N-grams are counted in one place, ``_ngram_counts``; BLEU clipping, chrF and
+the MBR overlaps of ``features`` are min-and-sums over its count matrices.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -99,40 +101,49 @@ def _ngrams(tokens: Sequence[str], order: int):
     return zip(*(tokens[i:] for i in range(order)))
 
 
-def _reference_table(
-    refs_tokens: Sequence[Sequence[str]],
-) -> Tuple[List[Counter], List[int]]:
-    """Per order, the maximum count of each n-gram over the references; and
-    the reference lengths in ascending order."""
+def _ngram_counts(grams: Iterable[Iterable]) -> np.ndarray:
+    """(n, V) int64 counts: row ``i`` counts the n-grams that the ``i``-th
+    iterable yields; ids go by first appearance, so an n-gram has one column."""
+    ids: Dict[object, int] = {}
+    per_text = [[ids.setdefault(gram, len(ids)) for gram in text] for text in grams]
+    n, v = len(per_text), len(ids)
+    owner = np.repeat(np.arange(n, dtype=np.int64), [len(c) for c in per_text])
+    cols = np.array([c for text in per_text for c in text], dtype=np.int64)
+    return np.bincount(owner * v + cols, minlength=n * v).reshape(n, v)
+
+
+def _by_order(texts: Sequence, grams_of: Callable, orders: int) -> np.ndarray:
+    """(orders, len(texts), V) counts: ``[o, i]`` counts the n-grams of order
+    ``o + 1`` of text ``i``.  One matrix holds every order, because n-grams of
+    different orders never compare equal."""
+    counts = _ngram_counts(grams_of(t, o) for o in range(1, orders + 1) for t in texts)
+    return counts.reshape(orders, len(texts), counts.shape[1])
+
+
+def _list_stats(
+    hyps_tokens: Sequence[Sequence[str]], refs_tokens: Sequence[Sequence[str]]
+) -> np.ndarray:
+    """(n, 10) int64 BLEU statistics of each hypothesis against all the
+    references: clipped matches and n-gram counts of orders 1-4, hyp_len and
+    ref_len, the ``HypStats.stats`` row layout.  A hypothesis n-gram count is
+    clipped by the maximum count of that n-gram over the references."""
     if not refs_tokens:
         raise ValueError("at least one reference required")
-    max_ref = []
-    for order in range(1, NGRAM_ORDER + 1):
-        table: Counter = Counter()
-        for ref in refs_tokens:
-            table |= Counter(_ngrams(ref, order))
-        max_ref.append(table)
-    return max_ref, sorted(len(r) for r in refs_tokens)
+    n = len(hyps_tokens)
+    counts = _by_order([*hyps_tokens, *refs_tokens], _ngrams, NGRAM_ORDER)
+    hyp, ref_max = counts[:, :n], counts[:, n:].max(axis=1, keepdims=True)
+    out = np.empty((n, 10), dtype=np.int64)
+    out[:, 0:4] = np.minimum(hyp, ref_max).sum(axis=2).T
+    out[:, 4:8] = hyp.sum(axis=2).T
+    # ascending, so min keeps the shorter of two equally close lengths
+    ref_lens = sorted(len(r) for r in refs_tokens)
+    out[:, 8] = [len(h) for h in hyps_tokens]
+    out[:, 9] = [min(ref_lens, key=lambda rl: abs(rl - len(h))) for h in hyps_tokens]
+    return out
 
 
-def _clipped_stats(
-    hyp_tokens: Sequence[str], max_ref: Sequence[Counter], ref_lens: Sequence[int]
-) -> NGramStats:
-    hyp_len = len(hyp_tokens)
-    # ref_lens ascend, so min keeps the shorter of two equally close lengths
-    ref_len = min(ref_lens, key=lambda rl: abs(rl - hyp_len))
-    clipped = [0] * NGRAM_ORDER
-    totals = [0] * NGRAM_ORDER
-    for order in range(1, min(hyp_len, NGRAM_ORDER) + 1):
-        totals[order - 1] = hyp_len - order + 1
-        ref_count = max_ref[order - 1].get
-        matches = 0
-        for gram, count in Counter(_ngrams(hyp_tokens, order)).items():
-            limit = ref_count(gram)
-            if limit:
-                matches += count if count < limit else limit
-        clipped[order - 1] = matches
-    return NGramStats(tuple(clipped), tuple(totals), hyp_len, ref_len)
+def _as_stats(row: Sequence[int]) -> NGramStats:
+    return NGramStats(tuple(row[0:4]), tuple(row[4:8]), row[8], row[9])
 
 
 def sentence_stats(
@@ -144,7 +155,7 @@ def sentence_stats(
     n-gram across all references.  ref_len is the reference length closest
     to the hypothesis length; ties resolve to the shorter reference.
     """
-    return _clipped_stats(hyp_tokens, *_reference_table(refs_tokens))
+    return _as_stats(_list_stats([hyp_tokens], refs_tokens)[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +177,7 @@ class HypStats:
         """Corpus BLEU of the selection holding hypothesis ``picks[s]`` of
         each sentence ``s``; integer sums are exact in any order."""
         total = self.stats[np.arange(len(self.stats)), picks].sum(axis=0).tolist()
-        return corpus_bleu(
-            NGramStats(tuple(total[0:4]), tuple(total[4:8]), total[8], total[9])
-        )
+        return corpus_bleu(_as_stats(total))
 
 
 def hyp_stats(
@@ -184,16 +193,12 @@ def hyp_stats(
     valid = np.zeros((len(lists), n_max), dtype=bool)
     gains = np.zeros((len(lists), n_max))
     for sid, (texts, refs) in enumerate(zip(lists, refs_per_sentence, strict=True)):
-        table = _reference_table([tokenize_13a(r) for r in refs])
-        rows: Dict[str, Tuple[Tuple[int, ...], float]] = {}
-        for text in texts:
-            if text not in rows:
-                s = _clipped_stats(tokenize_13a(text), *table)
-                row = (*s.clipped_matches, *s.hyp_ngrams, s.hyp_len, s.ref_len)
-                rows[text] = (row, corpus_bleu(s).value)
+        index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+        rows = _list_stats([tokenize_13a(t) for t in index], [tokenize_13a(r) for r in refs])
+        picks = [index[t] for t in texts]
         n = len(texts)
-        stats[sid, :n] = [rows[t][0] for t in texts]
-        gains[sid, :n] = [rows[t][1] for t in texts]
+        stats[sid, :n] = rows[picks]
+        gains[sid, :n] = np.array([corpus_bleu(_as_stats(r)).value for r in rows.tolist()])[picks]
         valid[sid, :n] = True
     return HypStats(stats, valid, gains)
 
@@ -263,15 +268,13 @@ def _char_ngrams(s: str, order: int):
     return (s[i : i + order] for i in range(len(s) - order + 1))
 
 
-def _char_ngram_stats(hyp: str, ref: str) -> List[Tuple[int, int, int]]:
-    """(hyp_total, ref_total, overlap) per character n-gram order 1..6."""
-    out = []
-    for order in range(1, CHRF_CHAR_ORDER + 1):
-        hyp_counts = Counter(_char_ngrams(hyp, order))
-        ref_counts = Counter(_char_ngrams(ref, order))
-        overlap = sum((hyp_counts & ref_counts).values())
-        out.append((sum(hyp_counts.values()), sum(ref_counts.values()), overlap))
-    return out
+def _char_ngram_stats(hyp: str, refs: Sequence[str]) -> List[List[Tuple[int, int, int]]]:
+    """Per reference, (hyp_total, ref_total, overlap) of each character n-gram
+    order 1..6 of the whitespace-collapsed texts."""
+    counts = _by_order([_collapse(t) for t in (hyp, *refs)], _char_ngrams, CHRF_CHAR_ORDER)
+    totals = counts.sum(axis=2).tolist()
+    overlaps = np.minimum(counts[:, :1], counts[:, 1:]).sum(axis=2).tolist()
+    return [[(t[0], t[r + 1], v[r]) for t, v in zip(totals, overlaps)] for r in range(len(refs))]
 
 
 def _chrf_from_stats(stats: Sequence[Tuple[int, int, int]]) -> ChrFScore:
@@ -298,16 +301,8 @@ def _best_ref_chrf_stats(hyp: str, refs: Sequence[str]) -> List[Tuple[int, int, 
     # against multiple references, keep the statistics of the best-scoring one
     if not refs:
         raise ValueError("at least one reference required")
-    h = _collapse(hyp)
-    best_stats = None
-    best_value = -1.0
-    for ref in refs:
-        stats = _char_ngram_stats(h, _collapse(ref))
-        value = _chrf_from_stats(stats).value
-        if value > best_value:
-            best_value = value
-            best_stats = stats
-    return best_stats
+    # max keeps the first of equally scoring references
+    return max(_char_ngram_stats(hyp, refs), key=lambda stats: _chrf_from_stats(stats).value)
 
 
 def sentence_chrf(hyp: str, refs: Sequence[str]) -> ChrFScore:
@@ -317,10 +312,7 @@ def sentence_chrf(hyp: str, refs: Sequence[str]) -> ChrFScore:
 
 def corpus_chrf(pairs: Iterable[Tuple[str, Sequence[str]]]) -> ChrFScore:
     """Corpus chrF: n-gram statistics are aggregated before the F computation."""
-    agg = [(0, 0, 0)] * CHRF_CHAR_ORDER
+    agg = np.zeros((CHRF_CHAR_ORDER, 3), dtype=np.int64)
     for hyp, refs in pairs:
-        stats = _best_ref_chrf_stats(hyp, refs)
-        agg = [
-            (a[0] + s[0], a[1] + s[1], a[2] + s[2]) for a, s in zip(agg, stats)
-        ]
-    return _chrf_from_stats(agg)
+        agg += _best_ref_chrf_stats(hyp, refs)
+    return _chrf_from_stats(agg.tolist())

@@ -150,6 +150,8 @@ class PipelineConfig:
             cp = configparser.ConfigParser(interpolation=None)
             cp.optionxform = str  # hook names are case-sensitive
             cp.read_string(text)
+            if cp.defaults():  # else its keys would be blamed on every section
+                raise ValueError("unknown config section 'DEFAULT'")
             sections = {name: dict(cp[name]) for name in cp.sections()}
         base = p.absolute().parent
         for name in sections:

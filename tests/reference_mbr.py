@@ -2,12 +2,17 @@
 reproduce bit for bit.
 
 Every ordered pair (i, j) scores hypothesis i against hypothesis j as its
-single reference with the public sentence metrics; each hypothesis's utility
-is the plain Python sum over j != i in ascending order, divided by n - 1.  A
-single-member list scores against itself.
+single reference with the ``Counter`` sentence metrics of ``reference_stats``;
+each hypothesis's utility is the plain Python sum over j != i in ascending
+order, divided by n - 1.  A single-member list scores against itself.
 """
 
-from nbdistill.metrics import corpus_bleu, sentence_chrf, sentence_stats, tokenize_13a
+from nbdistill.metrics import corpus_bleu
+from reference_stats import (
+    reference_sentence_chrf,
+    reference_sentence_stats,
+    reference_tokenize_13a,
+)
 
 
 def reference_mbr_utility(texts, utility="sentence_bleu"):
@@ -15,15 +20,15 @@ def reference_mbr_utility(texts, utility="sentence_bleu"):
         raise ValueError("empty hypothesis list")
     n = len(texts)
     if utility == "sentence_bleu":
-        toks = [tokenize_13a(t) for t in texts]
+        toks = [reference_tokenize_13a(t) for t in texts]
 
         def pair(i, j):
-            return corpus_bleu(sentence_stats(toks[i], [toks[j]])).value
+            return corpus_bleu(reference_sentence_stats(toks[i], [toks[j]])).value
 
     elif utility == "sentence_chrf":
 
         def pair(i, j):
-            return sentence_chrf(texts[i], [texts[j]]).value
+            return reference_sentence_chrf(texts[i], [texts[j]]).value
 
     else:
         raise ValueError(f"unknown MBR utility {utility!r}")

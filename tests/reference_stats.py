@@ -1,18 +1,22 @@
-"""Per-hypothesis BLEU statistics, one hypothesis at a time: the definition
-``metrics.hyp_stats`` and ``metrics.tokenize_13a`` must reproduce exactly.
+"""Per-hypothesis BLEU and chrF statistics, one hypothesis at a time with
+``Counter`` multisets: the definitions that ``metrics.hyp_stats``,
+``metrics.sentence_stats``, ``metrics.tokenize_13a``, ``metrics.sentence_chrf``
+and ``metrics.corpus_chrf`` must reproduce exactly.
 
 ``reference_tokenize_13a`` is a frozen copy of the 13a tokenizer with its
 original rule set, whose first class still contains the space.
 ``reference_sentence_stats`` rebuilds every reference's n-gram counts for each
 hypothesis.  ``reference_hyp_stats`` runs the loop the package used before the
 shared statistics table: tokenize the references, then tokenize and count
-every hypothesis of the list, duplicates included.
+every hypothesis of the list, duplicates included.  The chrF functions are a
+frozen copy of the package's ``Counter`` intersection per reference and
+order, which the shared n-gram count matrices replaced.
 """
 
 import re
 from collections import Counter
 
-from nbdistill.metrics import NGramStats, corpus_bleu
+from nbdistill.metrics import NGramStats, _chrf_from_stats, corpus_bleu
 
 _FROZEN_13A_RULES = (
     (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), r" \1 "),
@@ -72,3 +76,44 @@ def reference_hyp_stats(lists, refs_per_sentence):
         stats.append(sent)
         gains.append([corpus_bleu(s).value for s in sent])
     return stats, gains
+
+
+def _char_ngrams(s, order):
+    return (s[i : i + order] for i in range(len(s) - order + 1))
+
+
+def reference_char_ngram_stats(hyp, ref):
+    """(hyp_total, ref_total, overlap) per character n-gram order 1..6."""
+    out = []
+    for order in range(1, 7):
+        hyp_counts = Counter(_char_ngrams(hyp, order))
+        ref_counts = Counter(_char_ngrams(ref, order))
+        overlap = sum((hyp_counts & ref_counts).values())
+        out.append((sum(hyp_counts.values()), sum(ref_counts.values()), overlap))
+    return out
+
+
+def reference_best_ref_chrf_stats(hyp, refs):
+    # whitespace runs collapse; the first best-scoring reference wins
+    h = " ".join(hyp.split())
+    best_stats = None
+    best_value = -1.0
+    for ref in refs:
+        stats = reference_char_ngram_stats(h, " ".join(ref.split()))
+        value = _chrf_from_stats(stats).value
+        if value > best_value:
+            best_value = value
+            best_stats = stats
+    return best_stats
+
+
+def reference_sentence_chrf(hyp, refs):
+    return _chrf_from_stats(reference_best_ref_chrf_stats(hyp, refs))
+
+
+def reference_corpus_chrf(pairs):
+    agg = [(0, 0, 0)] * 6
+    for hyp, refs in pairs:
+        stats = reference_best_ref_chrf_stats(hyp, refs)
+        agg = [(a[0] + s[0], a[1] + s[1], a[2] + s[2]) for a, s in zip(agg, stats)]
+    return _chrf_from_stats(agg)

@@ -66,6 +66,58 @@ class TestEvaluate:
         assert code == 1
         assert "mismatch" in err
 
+    def test_blank_reference_line_fails(self, workspace, capsys, tmp_path):
+        blank = tmp_path / "blank.txt"
+        lines = (workspace / "ref1.txt").read_text().splitlines()
+        write_lines(blank, lines[:2] + [""] + lines[3:])
+        code, out, err = run(
+            capsys, "evaluate", "--hyp", workspace / "hyp.txt",
+            "--refs", f"{workspace}/ref0.txt,{blank}",
+        )
+        assert (code, out) == (1, "")
+        assert f"line 3: empty line in reference {str(blank)!r} stream" in err
+
+    @pytest.mark.parametrize(
+        "metric, want",
+        [
+            ("bleu", ["BLEU\t72.0447", "#signature\tnrefs:2|case:mixed|eff:no|tok:13a|smooth:exp"]),
+            ("chrf", ["chrF\t76.2469",
+                      "#signature\tnrefs:2|case:mixed|nc:6|nw:0|beta:2|space:collapse"]),
+        ],
+    )
+    def test_golden_output(self, tmp_path, capsys, metric, want):
+        # 13a punctuation, digit-internal '.'/',', digit dashes, entities,
+        # whitespace runs, non-ASCII and an empty hypothesis
+        write_lines(tmp_path / "hyp.txt", [
+            "The cat sat on the mat, didn't it?",
+            "Prices rose 3.5% to $1,000 in 2019-2020.",
+            "He said: &quot;hello&quot; &amp; left.",
+            "a  b\tc",
+            "Straße (Köln) -- 9-5 shift!",
+            "",
+        ])
+        write_lines(tmp_path / "ref0.txt", [
+            "The cat sat on the mat, did it not?",
+            "Prices rose by 3.5 % to $1,000 in 2019-2020.",
+            'He said: "hello" and left.',
+            "a b c",
+            "Straße (Köln): 9-5 shift.",
+            "nothing here",
+        ])
+        write_lines(tmp_path / "ref1.txt", [
+            "A cat was sitting on the mat, wasn't it?",
+            "Prices went up 3.5% to $1.000 during 2019 - 2020.",
+            "He said &quot;hello&quot; &amp; went.",
+            "a b c d",
+            "Strasse Köln 9-5 shift!",
+            "empty",
+        ])
+        code, out, _ = run(
+            capsys, "evaluate", "--hyp", tmp_path / "hyp.txt",
+            "--refs", f"{tmp_path}/ref0.txt,{tmp_path}/ref1.txt", "--metric", metric,
+        )
+        assert (code, out.splitlines()) == (0, want)
+
 
 class TestAssembleTuneRerank:
     def assemble(self, workspace, capsys, out="matrix.tsv"):

@@ -9,6 +9,7 @@ from nbdistill.corpus import (
     NBestEntry,
     SourceCorpus,
     load_nbest,
+    load_reference_files,
     load_references,
     load_scores,
     load_sources,
@@ -170,6 +171,15 @@ class TestParallel:
             load_sources(["a", "   "])
         with pytest.raises(FormatError, match="line 1: empty line in reference 1 stream"):
             load_references([["x", "y"], ["", "y"]])
+
+    def test_reference_file_error_names_its_path(self, tmp_path):
+        (tmp_path / "r1").write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "r0").write_text("a\n \n", encoding="utf-8")
+        paths = [tmp_path / "r1", tmp_path / "r0"]
+        want = f"line 2: empty line in reference {str(paths[1])!r} stream"
+        with pytest.raises(FormatError) as err:
+            load_reference_files(paths)
+        assert (str(err.value), err.value.line) == (want, 2)
 
     def test_multi_reference_zip(self):
         refs = load_references([["r0a", "r1a"], ["r0b", "r1b"]])

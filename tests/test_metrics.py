@@ -22,7 +22,13 @@ from oracles import (
     bf_sentence_chrf,
     bf_sentence_stats,
 )
-from reference_stats import reference_hyp_stats, reference_tokenize_13a
+from reference_stats import (
+    reference_corpus_chrf,
+    reference_hyp_stats,
+    reference_sentence_chrf,
+    reference_sentence_stats,
+    reference_tokenize_13a,
+)
 from strategies import TEXTS, hypothesis_lists
 from synth import make_corpus
 
@@ -197,6 +203,21 @@ class TestHypStats:
     def test_reference_lists_must_match(self):
         with pytest.raises(ValueError):
             hyp_stats([["a"], ["b"]], [["a"]])
+
+
+class TestCounterDefinitions:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(TEXTS, _REFS), min_size=1, max_size=4))
+    @example([("", ["a b", "cat"]), ("a  b", ["a b"]), ("straße 1,000", ["", "  "])])
+    def test_sentence_and_chrf_equal_to_counter_loops(self, pairs):
+        for hyp, refs in pairs:
+            hyp_toks = tokenize_13a(hyp)
+            refs_toks = [tokenize_13a(r) for r in refs]
+            assert repr(sentence_stats(hyp_toks, refs_toks)) == repr(
+                reference_sentence_stats(hyp_toks, refs_toks)
+            )
+            assert repr(sentence_chrf(hyp, refs)) == repr(reference_sentence_chrf(hyp, refs))
+        assert repr(corpus_chrf(pairs)) == repr(reference_corpus_chrf(pairs))
 
 
 class TestSentenceBleu:

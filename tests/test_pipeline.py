@@ -97,8 +97,10 @@ class TestConfig:
             ("[hooks]", "rescore = true", "unknown config key 'hooks.rescore'"),
             ("[hooks]", "score_ = true", "unknown config key 'hooks.score_'"),
             ("[mira]", "[extra]\nx = 1", "unknown config section 'extra'"),
+            ("[mira]", "[DEFAULT]\nroot = x", "unknown config section 'DEFAULT'"),
         ],
-        ids=["pipeline-key", "mira-key", "hook", "unnamed-score-hook", "section"],
+        ids=["pipeline-key", "mira-key", "hook", "unnamed-score-hook", "section",
+             "default-section"],
     )
     def test_unknown_keys_and_sections_rejected(self, tmp_path, section, line, message):
         ini = build_pipeline_fixtures(tmp_path)
