@@ -22,7 +22,7 @@ from .corpus import (
     write_nbest,
     write_pseudo_labels,
 )
-from .distill import PseudoLabelSet, kd_top1, ki_select, rerank_labels
+from .distill import kd_top1, ki_select, rerank_labels
 from .features import FeatureMatrix, assemble_matrix, length_features, mbr_utility
 from .metrics import (
     BleuScore,

@@ -12,10 +12,11 @@ import sys
 
 from . import metrics
 from .corpus import (
-    load_file, load_nbest, load_reference_files, load_sources, write_pseudo_labels, write_text,
+    LABEL_SUFFIXES, load_file, load_nbest, load_reference_files, load_sources,
+    write_pseudo_labels, write_text,
 )
 from .distill import kd_top1, ki_select
-from .mira import MiraConfig
+from .mira import INIT_MODES, MiraConfig
 from .pipeline import (
     HookError,
     PipelineConfig,
@@ -45,7 +46,10 @@ def cmd_evaluate(args) -> int:
     ref_files = _names(args.refs)
     refs = load_reference_files(ref_files).refs
     if len(refs) != len(hyps):
-        raise ValueError(f"line count mismatch {len(hyps)} vs {len(refs)}")
+        raise ValueError(
+            f"line count mismatch {len(hyps)} vs {len(refs)} (hypothesis file "
+            f"{args.hyp!r}: {len(hyps)}, references: {len(refs)})"
+        )
     k = len(ref_files)
     if args.metric == "bleu":
         stats = metrics.corpus_stats(hyps, refs)
@@ -129,7 +133,7 @@ def cmd_distill(args) -> int:
         else:
             labels = ki_select(corpus, load_reference_files(_names(args.orig_refs)))
         sources = load_file(args.src, load_sources)
-        paths = write_pseudo_labels(sources, labels.labels, args.out, args.format)
+        paths = write_pseudo_labels(sources, labels, args.out, args.format)
     for p in paths:
         print(p)
     return 0
@@ -176,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--nbest", required=True)
     p.add_argument("--refs", required=True, help="tune reference file(s), comma-separated")
-    p.add_argument("--c", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("zeros", "uniform"), default="zeros")
+    p.add_argument("--c", type=float, default=MiraConfig.c)
+    p.add_argument("--epochs", type=int, default=MiraConfig.epochs)
+    p.add_argument("--seed", type=int, default=MiraConfig.seed)
+    p.add_argument("--init", choices=INIT_MODES, default=MiraConfig.init)
     p.add_argument("--out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_tune)
 
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k-models", type=int, default=None)
     p.add_argument("--orig-refs", default=None, help="original labels (for --strategy ki)")
     p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--format", choices=("parallel", "tsv"), default="tsv")
+    p.add_argument("--format", choices=tuple(LABEL_SUFFIXES), default="tsv")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("selftrain", help="run the iterative self-training loop")

@@ -271,13 +271,12 @@ def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
     """
     if not streams:
         raise ValueError("at least one reference stream required")
-    columns = [
-        _read_lines(s, f"reference {getattr(s, 'name', i)!r}") for i, s in enumerate(streams)
-    ]
-    counts = {len(c) for c in columns}
-    if len(counts) > 1:
+    names = [f"reference {getattr(s, 'name', i)!r}" for i, s in enumerate(streams)]
+    columns = [_read_lines(s, name) for s, name in zip(streams, names)]
+    if len({len(c) for c in columns}) > 1:
+        counts = ", ".join(f"{name}: {len(c)}" for name, c in zip(names, columns))
         raise FormatError(
-            "line count mismatch " + " vs ".join(str(len(c)) for c in columns)
+            "line count mismatch " + " vs ".join(str(len(c)) for c in columns) + f" ({counts})"
         )
     return ReferenceSet(tuple(zip(*columns)))
 
@@ -292,6 +291,18 @@ def load_sources(stream: Iterable[str]) -> SourceCorpus:
     return SourceCorpus(tuple(_read_lines(stream, "source")))
 
 
+# The files of each pseudo-label format, as suffixes of the output prefix; the
+# last one holds the labels.
+LABEL_SUFFIXES = {"tsv": (".tsv",), "parallel": (".src", ".tgt")}
+
+
+def label_paths(prefix: str | Path, fmt: str) -> List[Path]:
+    """The files that pseudo-labels in format ``fmt`` are written to."""
+    if fmt not in LABEL_SUFFIXES:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return [Path(f"{prefix}{suffix}") for suffix in LABEL_SUFFIXES[fmt]]
+
+
 def write_pseudo_labels(
     sources: SourceCorpus,
     labels: Sequence[str],
@@ -304,6 +315,7 @@ def write_pseudo_labels(
     (aligned ``.src``/``.tgt`` files) or ``"tsv"`` (two-column
     ``SOURCE<TAB>TARGET``).  Returns the written paths.
     """
+    paths = label_paths(out_prefix, fmt)
     n = len(sources)
     if len(labels) < n:
         raise ValueError(f"missing label for sentence {len(labels)}")
@@ -313,21 +325,16 @@ def write_pseudo_labels(
     for i, lab in enumerate(ordered):
         if "\n" in lab or "\r" in lab:
             raise ValueError(f"label for sentence {i} contains a newline")
-    prefix = str(out_prefix)
     if fmt == "parallel":
-        src_path = Path(prefix + ".src")
-        tgt_path = Path(prefix + ".tgt")
-        write_text(src_path, "".join(s + "\n" for s in sources.sentences))
-        write_text(tgt_path, "".join(lab + "\n" for lab in ordered))
-        return [src_path, tgt_path]
-    if fmt == "tsv":
+        texts = ["".join(s + "\n" for s in sources.sentences),
+                 "".join(lab + "\n" for lab in ordered)]
+    else:
         for i, (s, lab) in enumerate(zip(sources.sentences, ordered)):
             if "\t" in lab:
                 raise ValueError(f"label for sentence {i} contains a tab (tsv format)")
             if "\t" in s:
                 raise ValueError(f"source sentence {i} contains a tab (tsv format)")
-        tsv_path = Path(prefix + ".tsv")
-        pairs = zip(sources.sentences, ordered)
-        write_text(tsv_path, "".join(f"{s}\t{lab}\n" for s, lab in pairs))
-        return [tsv_path]
-    raise ValueError(f"unknown output format {fmt!r}")
+        texts = ["".join(f"{s}\t{lab}\n" for s, lab in zip(sources.sentences, ordered))]
+    for path, text in zip(paths, texts):
+        write_text(path, text)
+    return paths

@@ -13,7 +13,6 @@ Three ways to pick one target string per source sentence from an n-best list:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .corpus import NBestCorpus, ReferenceSet
@@ -22,29 +21,15 @@ from .mira import WeightVector
 from .rerank import SelectionMask, oracle_select, rerank
 
 
-@dataclass(frozen=True)
-class PseudoLabelSet:
-    """One label per sentence id, plus how it was produced."""
-
-    labels: Tuple[str, ...]
-    strategy: str
-    provenance: str
-
-
-def kd_top1(corpus: NBestCorpus) -> PseudoLabelSet:
+def kd_top1(corpus: NBestCorpus) -> Tuple[str, ...]:
     """Rank-0 hypothesis per sentence."""
-    labels = tuple(entries[0].text for entries in corpus.lists)
-    return PseudoLabelSet(labels, "kd_top1", "rank-0 hypothesis of the generating model")
+    return tuple(entries[0].text for entries in corpus.lists)
 
 
-def ki_select(corpus: NBestCorpus, original_refs: ReferenceSet) -> PseudoLabelSet:
+def ki_select(corpus: NBestCorpus, original_refs: ReferenceSet) -> Tuple[str, ...]:
     """Per sentence, the list member with the highest BLEU against the
     original labels (the greedy oracle); ties resolve to the lowest rank."""
-    return PseudoLabelSet(
-        oracle_select(corpus, original_refs).selected_texts,
-        "ki",
-        "highest sentence BLEU against the original labels",
-    )
+    return oracle_select(corpus, original_refs).selected_texts
 
 
 def rerank_labels(
@@ -52,11 +37,6 @@ def rerank_labels(
     corpus: NBestCorpus,
     weights: WeightVector,
     mask: Optional[SelectionMask] = None,
-) -> PseudoLabelSet:
+) -> Tuple[str, ...]:
     """Labels from the log-linear reranker's argmax selection."""
-    result = rerank(matrix, corpus, weights, mask=mask)
-    provenance = f"log-linear rerank over {len(matrix.feature_names)} features"
-    if mask is not None:
-        provenance += f", top-{mask.k} model mask"
-    return PseudoLabelSet(result.selected_texts, "rerank", provenance)
-
+    return rerank(matrix, corpus, weights, mask=mask).selected_texts

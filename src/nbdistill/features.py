@@ -23,6 +23,7 @@ then one ``SID<TAB>RANK<TAB>V1..VM`` row per hypothesis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
@@ -260,7 +261,7 @@ def load_matrix(stream: Iterable[str]) -> FeatureMatrix:
             vals = [float(v) for v in fields[2:]]
         except ValueError:
             raise FormatError("unparseable matrix row", lineno) from None
-        if any(not np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise FormatError("non-finite feature value", lineno)
         if sid == len(rows):
             rows.append([])

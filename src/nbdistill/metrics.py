@@ -93,8 +93,6 @@ class BleuScore:
 @dataclass(frozen=True)
 class ChrFScore:
     value: float
-    beta: float = CHRF_BETA
-    char_order: int = CHRF_CHAR_ORDER
 
 
 def _ngrams(tokens: Sequence[str], order: int):

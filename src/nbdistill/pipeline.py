@@ -39,12 +39,14 @@ import shlex
 import shutil
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .corpus import (
+    LABEL_SUFFIXES,
     NBestCorpus,
+    label_paths,
     load_file,
     load_nbest,
     load_reference_files,
@@ -63,16 +65,6 @@ from .rerank import (
 
 DATA_SETS = ("tune", "dev", "transfer")
 LEDGER_NAME = "ledger.jsonl"
-# The keys each config section accepts (docs/config-schema.json); [hooks] also
-# accepts any score_<name>.
-CONFIG_KEYS = {
-    "pipeline": {"workdir", "iterations_max", "min_delta", "top_k_models", "label_format"},
-    "data": {"tune_src", "tune_refs", "dev_src", "dev_refs", "transfer_src",
-             "test_src", "test_refs"},
-    "features": {"passthrough", "native", "external"},
-    "hooks": {"generate_nbest"},
-    "mira": {"c", "epochs", "seed", "init"},
-}
 
 
 class HookError(RuntimeError):
@@ -104,7 +96,7 @@ class PipelineConfig:
             raise ValueError("min_delta must be >= 0")
         if self.top_k_models < 1:
             raise ValueError("top_k_models must be >= 1")
-        if self.label_format not in ("tsv", "parallel"):
+        if self.label_format not in LABEL_SUFFIXES:
             raise ValueError(f"unknown label_format {self.label_format!r}")
         if not (self.passthrough or self.native or self.external):
             raise ValueError("no features declared")
@@ -157,60 +149,60 @@ class PipelineConfig:
         for name in sections:
             if name not in CONFIG_KEYS:
                 raise ValueError(f"unknown config section {name!r}")
-
-        def section(name: str) -> dict:
+        kwargs: Dict[str, object] = {}
+        mira: Dict[str, object] = {}
+        for name, keys in _KEY_TABLE.items():
             sec = sections.get(name, {})
             if not isinstance(sec, dict):
                 raise ValueError(f"config section {name!r} must be a mapping")
             for key in sec:
-                if key not in CONFIG_KEYS[name] and not (
+                if key not in keys and not (
                     name == "hooks" and key.startswith("score_") and key != "score_"
                 ):
                     raise ValueError(f"unknown config key '{name}.{key}'")
-            return sec
+            if name == "hooks":
+                kwargs["hooks"] = {str(k): str(v) for k, v in sec.items()}
+            target, owner = (mira, MiraConfig) if name == "mira" else (kwargs, cls)
+            for f in fields(owner):
+                if f.name not in keys:
+                    continue
+                if f.name in sec:
+                    try:
+                        target[f.name] = _convert(sec[f.name], f.type, base)
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(f"config key '{name}.{f.name}': {exc}") from None
+                elif f.default is MISSING and f.default_factory is MISSING:
+                    raise ValueError(f"config missing '{name}.{f.name}'")
+        return cls(mira=MiraConfig(**mira), **kwargs)
 
-        pipe, data, feats = section("pipeline"), section("data"), section("features")
-        hooks = {str(k): str(v) for k, v in section("hooks").items()}
-        mira_sec = section("mira")
 
-        def require(sec: dict, sec_name: str, key: str) -> object:
-            if key not in sec:
-                raise ValueError(f"config missing '{sec_name}.{key}'")
-            return sec[key]
+# The keys of each config section (docs/config-schema.json).  A key sets the
+# PipelineConfig field of its name ([mira]: the MiraConfig field), converted by
+# the field's declared type, and is required exactly when the field has no
+# default.  [hooks] becomes the ``hooks`` mapping and also accepts any
+# score_<name>; data.test_src and data.test_refs are accepted and ignored.
+_KEY_TABLE = {
+    "pipeline": ("workdir", "iterations_max", "min_delta", "top_k_models", "label_format"),
+    "data": ("tune_src", "tune_refs", "dev_src", "dev_refs", "transfer_src",
+             "test_src", "test_refs"),
+    "features": ("passthrough", "native", "external"),
+    "hooks": ("generate_nbest",),
+    "mira": ("c", "epochs", "seed", "init"),
+}
+CONFIG_KEYS = {name: set(keys) for name, keys in _KEY_TABLE.items()}
+_SCALARS = {"int": int, "float": float, "str": str}
 
-        def one_path(value: object) -> Path:
-            return base / str(value)
 
-        def path_list(value: object) -> Tuple[Path, ...]:
-            return tuple(base / name for name in name_list(value))
-
-        def name_list(value: object) -> Tuple[str, ...]:
-            items = value if isinstance(value, list) else str(value).split(",")
-            return tuple(str(v).strip() for v in items if str(v).strip())
-
-        mira = MiraConfig(
-            c=float(mira_sec.get("c", 0.01)),
-            epochs=int(mira_sec.get("epochs", 30)),
-            seed=int(mira_sec.get("seed", 0)),
-            init=str(mira_sec.get("init", "zeros")),
-        )
-        return cls(
-            workdir=one_path(require(pipe, "pipeline", "workdir")),
-            tune_src=one_path(require(data, "data", "tune_src")),
-            tune_refs=path_list(require(data, "data", "tune_refs")),
-            dev_src=one_path(require(data, "data", "dev_src")),
-            dev_refs=path_list(require(data, "data", "dev_refs")),
-            transfer_src=one_path(require(data, "data", "transfer_src")),
-            hooks=hooks,
-            passthrough=name_list(feats.get("passthrough", "")),
-            native=name_list(feats.get("native", "")),
-            external=name_list(feats.get("external", "")),
-            mira=mira,
-            top_k_models=int(pipe.get("top_k_models", 5)),
-            iterations_max=int(pipe.get("iterations_max", 3)),
-            min_delta=float(pipe.get("min_delta", 0.1)),
-            label_format=str(pipe.get("label_format", "tsv")),
-        )
+def _convert(value: object, kind: str, base: Path) -> object:
+    """A config value as a field of declared type ``kind``; a list is a JSON
+    array or comma-separated text, and paths resolve against ``base``."""
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    if kind == "Path":
+        return base / str(value)
+    items = value if isinstance(value, list) else str(value).split(",")
+    names = tuple(str(v).strip() for v in items if str(v).strip())
+    return tuple(base / name for name in names) if kind == "Tuple[Path, ...]" else names
 
 
 @dataclass(frozen=True)
@@ -319,7 +311,7 @@ def rerank_labels_file(
     """Write the reranker's pseudo-labels for the sources in ``src``;
     returns the written paths."""
     labels = rerank_labels(*_rerank_inputs(matrix, nbest, weights, models))
-    return write_pseudo_labels(load_file(src, load_sources), labels.labels, out_prefix, fmt)
+    return write_pseudo_labels(load_file(src, load_sources), labels, out_prefix, fmt)
 
 
 def _run_hook(it: _Iteration, hook: str, set_name: str, in_path: Path, out_path: Path) -> None:
@@ -352,6 +344,7 @@ class _Iteration:
         self.nbest = {name: self.dir / f"nbest.{name}.txt" for name in DATA_SETS}
         self.matrix = {name: self.dir / f"matrix.{name}.tsv" for name in DATA_SETS}
         self.weights = self.dir / "weights.tsv"
+        self.labels = self.dir / "labels"  # the prefix of the label files
         self.selected = self.dir / "selected.txt"
         self.dev_bleu = self.dir / "dev_bleu.txt"
 
@@ -361,7 +354,7 @@ class _Iteration:
     def mask(self) -> SelectionMask:
         """The models the ``select`` stage wrote."""
         names = [line.strip() for line in self.selected.read_text(encoding="utf-8").splitlines()]
-        return SelectionMask(frozenset(filter(None, names)), self.config.top_k_models)
+        return SelectionMask(frozenset(filter(None, names)))
 
 
 def _generate_nbest(it: _Iteration) -> None:
@@ -395,7 +388,7 @@ def _select(it: _Iteration) -> None:
 def _distill(it: _Iteration) -> None:
     rerank_labels_file(
         it.matrix["transfer"], it.nbest["transfer"], it.weights, it.config.transfer_src,
-        it.dir / "labels", it.config.label_format, models=it.mask(),
+        it.labels, it.config.label_format, models=it.mask(),
     )
 
 
@@ -435,12 +428,11 @@ def run_iteration(
         if not marker.exists():
             run_stage(it)
             marker.touch()
-    labels = "labels.tsv" if config.label_format == "tsv" else "labels.tgt"
     state = IterationState(
         iter=iter_n,
         dev_bleu=float(it.dev_bleu.read_text(encoding="utf-8").strip()),
         weights_path=str(it.weights),
-        labels_path=str(it.dir / labels),
+        labels_path=str(label_paths(it.labels, config.label_format)[-1]),
         started=started,
         finished=_utc_now(),
     )
@@ -503,13 +495,12 @@ def run_selftrain(config: PipelineConfig) -> Tuple[IterationState, str]:
 
 
 def _finalize_labels(workdir: Path, best: IterationState, label_format: str) -> Path:
-    src = Path(best.labels_path)
-    if label_format == "parallel":
-        shutil.copyfile(src.with_suffix(".src"), workdir / "final.labels.src")
-        dst = workdir / "final.labels.tgt"
-    else:
-        dst = workdir / "final.labels.tsv"
-    shutil.copyfile(src, dst)
+    """Copy the best iteration's label files to ``final.labels.*``; returns
+    the copy of its labels path."""
+    prefix = Path(best.labels_path).with_suffix("")
+    for src, dst in zip(label_paths(prefix, label_format),
+                        label_paths(workdir / "final.labels", label_format)):
+        shutil.copyfile(src, dst)
     return dst
 
 

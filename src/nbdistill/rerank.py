@@ -29,7 +29,6 @@ class SelectionMask:
     """The feature subset a reranker is restricted to."""
 
     active: frozenset
-    k: int
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def select_models(weights: WeightVector, k: int) -> SelectionMask:
     """Keep the k largest-magnitude features; ties break lexicographically."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return SelectionMask(frozenset(rank_models(weights)[:k]), k)
+    return SelectionMask(frozenset(rank_models(weights)[:k]))
 
 
 def _masked_weights(weights: WeightVector, mask: Optional[SelectionMask]) -> np.ndarray:

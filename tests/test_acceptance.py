@@ -146,14 +146,14 @@ def test_criterion_4_kd_ki_rerank_consistency():
             assert totals == sorted(totals, reverse=True)
         matrix = assemble_matrix(corpus, passthrough=["total"], native=["len"])
         one_hot = WeightVector(matrix.feature_names, (1.0, 0.0))
-        assert rerank_labels(matrix, corpus, one_hot).labels == kd_top1(corpus).labels
+        assert rerank_labels(matrix, corpus, one_hot) == kd_top1(corpus)
 
         # KI selections are exhaustively optimal per sentence
         refset = ReferenceSet(tuple(tuple(r) for r in refs))
         ki = ki_select(corpus, refset)
         for sid, entries in enumerate(corpus.lists):
             scores = [sentence_bleu(e.text, list(refset.refs[sid])) for e in entries]
-            assert sentence_bleu(ki.labels[sid], list(refset.refs[sid])) == max(scores)
+            assert sentence_bleu(ki[sid], list(refset.refs[sid])) == max(scores)
 
         # n=1 collapses all three strategies
         _, refs1, hyps1 = make_corpus(8, 1, seed=105)
@@ -161,9 +161,9 @@ def test_criterion_4_kd_ki_rerank_consistency():
         refset1 = ReferenceSet(tuple(tuple(r) for r in refs1))
         matrix1 = assemble_matrix(corpus1, passthrough=["total"], native=["len"])
         weights1 = WeightVector(matrix1.feature_names, (0.3, -0.7))
-        kd = kd_top1(corpus1).labels
-        assert ki_select(corpus1, refset1).labels == kd
-        assert rerank_labels(matrix1, corpus1, weights1).labels == kd
+        kd = kd_top1(corpus1)
+        assert ki_select(corpus1, refset1) == kd
+        assert rerank_labels(matrix1, corpus1, weights1) == kd
         ok = True
     finally:
         _report(4, "KD/KI/rerank agree on one-hot, exhaustive and n=1 cases", ok)

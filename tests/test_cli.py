@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from nbdistill.cli import main
+from nbdistill.cli import build_parser, main
+from nbdistill.mira import MiraConfig
 from synth import make_corpus, nbest_lines, write_lines
 
 
@@ -65,6 +66,21 @@ class TestEvaluate:
         )
         assert code == 1
         assert "mismatch" in err
+
+    def test_mismatch_names_the_files(self, workspace, capsys, tmp_path):
+        short = tmp_path / "short.txt"
+        write_lines(short, (workspace / "ref1.txt").read_text().splitlines()[:9])
+        ref0 = workspace / "ref0.txt"
+        _, _, err = run(capsys, "evaluate", "--hyp", ref0, "--refs", f"{ref0},{short}")
+        assert err == (
+            f"error: line count mismatch 10 vs 9 (reference {str(ref0)!r}: 10, "
+            f"reference {str(short)!r}: 9)\n"
+        )
+        _, _, err = run(capsys, "evaluate", "--hyp", short, "--refs", ref0)
+        assert err == (
+            f"error: line count mismatch 9 vs 10 (hypothesis file {str(short)!r}: 9, "
+            "references: 10)\n"
+        )
 
     def test_blank_reference_line_fails(self, workspace, capsys, tmp_path):
         blank = tmp_path / "blank.txt"
@@ -167,6 +183,15 @@ class TestAssembleTuneRerank:
         assert len(rows) == 10
         sid, rank, text = rows[0].split("\t", 2)
         assert sid == "0" and rank in "0123" and text
+
+
+class TestTuneDefaults:
+    def test_parsed_defaults_build_the_default_config(self):
+        args = build_parser().parse_args(
+            ["tune", "--matrix", "m", "--nbest", "n", "--refs", "r", "--out", "w"]
+        )
+        config = MiraConfig(c=args.c, epochs=args.epochs, seed=args.seed, init=args.init)
+        assert config == MiraConfig()
 
 
 class TestOracleCli:

@@ -189,6 +189,17 @@ class TestParallel:
         with pytest.raises(FormatError, match="line count mismatch 2 vs 1"):
             load_references([["a", "b"], ["x"]])
 
+    def test_reference_files_mismatch_names_each_file(self, tmp_path):
+        (tmp_path / "r0").write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "r1").write_text("x\n", encoding="utf-8")
+        paths = [tmp_path / "r0", tmp_path / "r1"]
+        with pytest.raises(FormatError) as err:
+            load_reference_files(paths)
+        assert str(err.value) == (
+            f"line count mismatch 2 vs 1 (reference {str(paths[0])!r}: 2, "
+            f"reference {str(paths[1])!r}: 1)"
+        )
+
 
 class TestWritePseudoLabels:
     def test_single_sentence_tgt_bytes(self, tmp_path):

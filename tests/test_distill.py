@@ -19,11 +19,11 @@ def build(num_sentences, n, seed=0):
 class TestKdTop1:
     def test_single_sentence(self):
         corpus = load_nbest(["0 ||| the best |||  ||| 1.0", "0 ||| worse |||  ||| 0.5"])
-        assert kd_top1(corpus).labels == ("the best",)
+        assert kd_top1(corpus) == ("the best",)
 
     def test_matches_first_line_per_sid_block(self):
         _, corpus, _, _, hyps = build(5, 4, seed=1)
-        assert kd_top1(corpus).labels == tuple(h[0] for h in hyps)
+        assert kd_top1(corpus) == tuple(h[0] for h in hyps)
 
     def test_equals_one_hot_total_rerank_on_sorted_fixture(self):
         _, corpus, _, _, _ = build(6, 4, seed=2)
@@ -32,12 +32,12 @@ class TestKdTop1:
             assert totals == sorted(totals, reverse=True)
         matrix = assemble_matrix(corpus, passthrough=["total"], native=["len"])
         one_hot = WeightVector(matrix.feature_names, (1.0, 0.0))
-        assert rerank_labels(matrix, corpus, one_hot).labels == kd_top1(corpus).labels
+        assert rerank_labels(matrix, corpus, one_hot) == kd_top1(corpus)
 
     def test_invariant_under_appending_lower_ranks(self):
         lines = ["0 ||| keep |||  ||| 3.0"]
         extended = lines + ["0 ||| extra one |||  ||| 2.0", "0 ||| extra two |||  ||| 1.0"]
-        assert kd_top1(load_nbest(lines)).labels == kd_top1(load_nbest(extended)).labels
+        assert kd_top1(load_nbest(lines)) == kd_top1(load_nbest(extended))
 
 
 class TestKiSelect:
@@ -46,11 +46,11 @@ class TestKiSelect:
             ["0 ||| close guess |||  ||| 2.0", "0 ||| original label |||  ||| 1.0"]
         )
         refs = ReferenceSet((("original label",),))
-        assert ki_select(corpus, refs).labels == ("original label",)
+        assert ki_select(corpus, refs) == ("original label",)
 
     def test_n1_equals_kd(self):
         _, corpus, refset, _, _ = build(5, 1, seed=3)
-        assert ki_select(corpus, refset).labels == kd_top1(corpus).labels
+        assert ki_select(corpus, refset) == kd_top1(corpus)
 
     def test_exhaustive_optimality(self):
         _, corpus, refset, _, _ = build(8, 4, seed=4)
@@ -58,7 +58,7 @@ class TestKiSelect:
         for sid, entries in enumerate(corpus.lists):
             refs = list(refset.refs[sid])
             best = max(sentence_bleu(e.text, refs) for e in entries)
-            assert sentence_bleu(chosen.labels[sid], refs) == best
+            assert sentence_bleu(chosen[sid], refs) == best
 
     def test_misaligned(self):
         _, corpus, refset, _, _ = build(3, 2, seed=5)
@@ -73,17 +73,9 @@ class TestRerankLabels:
         weights = WeightVector(matrix.feature_names, (0.2, -0.4, 0.6))
         mask = select_models(weights, matrix.num_features)
         assert (
-            rerank_labels(matrix, corpus, weights, mask).labels
-            == rerank_labels(matrix, corpus, weights).labels
+            rerank_labels(matrix, corpus, weights, mask)
+            == rerank_labels(matrix, corpus, weights)
         )
-
-    def test_provenance_mentions_mask(self):
-        _, corpus, _, _, _ = build(3, 2, seed=7)
-        matrix = assemble_matrix(corpus, passthrough=["total", "lm"])
-        weights = WeightVector(matrix.feature_names, (1.0, 0.5))
-        labels = rerank_labels(matrix, corpus, weights, select_models(weights, 1))
-        assert labels.strategy == "rerank"
-        assert "top-1" in labels.provenance
 
     def test_toy_matrix_argmax(self):
         corpus = load_nbest(
@@ -94,7 +86,7 @@ class TestRerankLabels:
         )
         matrix = assemble_matrix(corpus, passthrough=["f"])
         labels = rerank_labels(matrix, corpus, WeightVector(("f",), (1.0,)))
-        assert labels.labels == ("high",)
+        assert labels == ("high",)
 
 
 class TestStrategyDominance:
@@ -107,8 +99,8 @@ class TestStrategyDominance:
         mask = select_models(run.best_weights, 2)
         tuned_labels = rerank_labels(matrix, corpus, run.best_weights)
         kd_labels = kd_top1(corpus)
-        tuned = corpus_bleu(corpus_stats(tuned_labels.labels, refs)).value
-        kd = corpus_bleu(corpus_stats(kd_labels.labels, refs)).value
+        tuned = corpus_bleu(corpus_stats(tuned_labels, refs)).value
+        kd = corpus_bleu(corpus_stats(kd_labels, refs)).value
         # epoch-0 candidate is the one-hot 'total' baseline, i.e. the KD top-1
         assert tuned >= kd - 1e-9
 
@@ -118,8 +110,8 @@ class TestCollapseAtN1:
         _, corpus, refset, _, _ = build(6, 1, seed=9)
         matrix = assemble_matrix(corpus, passthrough=["total"], native=["len"])
         weights = WeightVector(matrix.feature_names, (0.7, -0.1))
-        kd = kd_top1(corpus).labels
-        ki = ki_select(corpus, refset).labels
-        rr = rerank_labels(matrix, corpus, weights).labels
+        kd = kd_top1(corpus)
+        ki = ki_select(corpus, refset)
+        rr = rerank_labels(matrix, corpus, weights)
         assert kd == ki == rr
 

@@ -6,7 +6,9 @@ import pytest
 
 from nbdistill.cli import main as cli_main
 from nbdistill.metrics import corpus_bleu, corpus_stats
-from nbdistill.mira import MiraConfig
+from nbdistill.corpus import LABEL_SUFFIXES
+from nbdistill.features import NATIVE_FEATURES
+from nbdistill.mira import INIT_MODES, MiraConfig
 from nbdistill.pipeline import (
     CONFIG_KEYS,
     HookError,
@@ -114,6 +116,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key 'data.dev_ref'"):
             PipelineConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("epochs = 4", "epochs = ten", "config key 'mira.epochs': invalid literal for int"),
+            ("min_delta = 0.1", "min_delta = 0.1x",
+             "config key 'pipeline.min_delta': could not convert"),
+            (None, {"pipeline": {"workdir": "w", "top_k_models": "five"}},
+             "config key 'pipeline.top_k_models': invalid literal for int"),
+        ],
+        ids=["ini-epochs", "ini-min-delta", "json-top-k"],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, old, new, message):
+        path = build_pipeline_fixtures(tmp_path)
+        if old is None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(new))
+        else:
+            path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_file(path)
+
     def test_known_keys_are_the_schema_properties(self):
         schema = json.loads((ROOT / "docs" / "config-schema.json").read_text())
         sections = schema["properties"]
@@ -121,6 +144,19 @@ class TestConfig:
         for name, keys in CONFIG_KEYS.items():
             assert keys == set(sections[name]["properties"]), name
         assert set(sections["hooks"]["patternProperties"]) == {"^score_.+$"}
+        # every schema default is the dataclass default
+        defaults = {
+            name: {f.name: f.default for f in dataclasses.fields(owner)}
+            for name, owner in (("pipeline", PipelineConfig), ("mira", MiraConfig))
+        }
+        for name, section in sections.items():
+            for key, prop in section["properties"].items():
+                if "default" in prop:
+                    assert prop["default"] == defaults[name][key], f"{name}.{key}"
+        assert sections["mira"]["properties"]["init"]["enum"] == list(INIT_MODES)
+        assert sections["pipeline"]["properties"]["label_format"]["enum"] == list(LABEL_SUFFIXES)
+        native = sections["features"]["properties"]["native"]["oneOf"][1]["items"]["enum"]
+        assert native == list(NATIVE_FEATURES)
 
     def test_readme_example_parses(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
