@@ -66,6 +66,10 @@ class FeatureMatrix:
     def num_features(self) -> int:
         return len(self.feature_names)
 
+    def best_rows(self, w: np.ndarray) -> Tuple[int, ...]:
+        """Per list, the index of the first row with the highest ``rows @ w``."""
+        return tuple(int(np.argmax(rows @ w)) for rows in self.values)
+
     def validate_against(self, corpus: NBestCorpus) -> None:
         if self.num_sentences != corpus.num_sentences:
             raise ValueError(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -178,6 +177,11 @@ class HypStats:
         return corpus_bleu(_as_stats(total))
 
 
+def _check_coverage(lists: Sequence, refs: Sequence) -> None:
+    if len(refs) != len(lists):
+        raise ValueError(f"references cover {len(refs)} sentences, corpus has {len(lists)}")
+
+
 def hyp_stats(
     lists: Sequence[Sequence[str]], refs_per_sentence: Sequence[Sequence[str]]
 ) -> HypStats:
@@ -186,11 +190,12 @@ def hyp_stats(
     The references of a sentence are tokenized and counted once, and each
     distinct text of a list is tokenized, clipped and scored once.
     """
+    _check_coverage(lists, refs_per_sentence)
     n_max = max(len(texts) for texts in lists)
     stats = np.zeros((len(lists), n_max, 10), dtype=np.int64)
     valid = np.zeros((len(lists), n_max), dtype=bool)
     gains = np.zeros((len(lists), n_max))
-    for sid, (texts, refs) in enumerate(zip(lists, refs_per_sentence, strict=True)):
+    for sid, (texts, refs) in enumerate(zip(lists, refs_per_sentence)):
         index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
         rows = _list_stats([tokenize_13a(t) for t in index], [tokenize_13a(r) for r in refs])
         picks = [index[t] for t in texts]
@@ -205,11 +210,10 @@ def corpus_stats(
     hyps: Iterable[str], refs_per_sentence: Iterable[Sequence[str]]
 ) -> NGramStats:
     """Tokenize and accumulate statistics over a parallel hyp/refs stream."""
+    hyps, refs_per_sentence = list(hyps), list(refs_per_sentence)
+    _check_coverage(hyps, refs_per_sentence)
     total = NGramStats.zero()
-    sentinel = object()
-    for hyp, refs in zip_longest(hyps, refs_per_sentence, fillvalue=sentinel):
-        if hyp is sentinel or refs is sentinel:
-            raise ValueError("hypothesis and reference streams have different lengths")
+    for hyp, refs in zip(hyps, refs_per_sentence):
         total = total + sentence_stats(
             tokenize_13a(hyp), [tokenize_13a(r) for r in refs]
         )

@@ -75,17 +75,6 @@ class TuneRun:
     best_epoch: int
 
 
-def _check_aligned(
-    matrix: FeatureMatrix, corpus: NBestCorpus, refs: ReferenceSet
-) -> None:
-    matrix.validate_against(corpus)
-    if refs.num_sentences != corpus.num_sentences:
-        raise ValueError(
-            f"references cover {refs.num_sentences} sentences, corpus has "
-            f"{corpus.num_sentences}"
-        )
-
-
 def _init_array(config: MiraConfig, names: Sequence[str]) -> np.ndarray:
     m = len(names)
     if config.init == "uniform":
@@ -128,7 +117,7 @@ def tune_mira(
     config: MiraConfig = MiraConfig(),
 ) -> TuneRun:
     """Learn reranking weights that maximize tune-set corpus BLEU."""
-    _check_aligned(matrix, corpus, refs)
+    matrix.validate_against(corpus)
     names = matrix.feature_names
     if not names:
         raise ValueError("zero-feature matrix")
@@ -140,7 +129,7 @@ def tune_mira(
     gains = [table.gains[sid, : len(rows)] for sid, rows in enumerate(matrix.values)]
 
     def bleu_of_weights(weights: np.ndarray) -> float:
-        return table.bleu([np.argmax(rows @ weights) for rows in matrix.values]).value
+        return table.bleu(matrix.best_rows(weights)).value
 
     lam = _init_array(config, names)
     history: List[Tuple[WeightVector, float]] = []
@@ -165,10 +154,8 @@ def tune_mira(
         averaged = weight_sum / updates if updates else lam.copy()
         record(averaged)
 
-    best_epoch = 0
-    for epoch in range(1, len(history)):
-        if history[epoch][1] > history[best_epoch][1]:
-            best_epoch = epoch
+    # max keeps the first of equally scoring epochs
+    best_epoch = max(range(len(history)), key=lambda epoch: history[epoch][1])
     return TuneRun(history[best_epoch][0], tuple(history), best_epoch)
 
 

@@ -110,6 +110,9 @@ class PipelineConfig:
                 raise ValueError(
                     f"missing hook 'score_{name}' for external feature {name!r}"
                 )
+        for hook in self.hooks:
+            if hook.startswith("score_") and hook[len("score_"):] not in self.external:
+                raise ValueError(f"hook {hook!r} names no external feature")
         for label, path in (
             ("tune_src", self.tune_src),
             ("dev_src", self.dev_src),
@@ -195,8 +198,12 @@ _SCALARS = {"int": int, "float": float, "str": str}
 
 def _convert(value: object, kind: str, base: Path) -> object:
     """A config value as a field of declared type ``kind``; a list is a JSON
-    array or comma-separated text, and paths resolve against ``base``."""
+    array or comma-separated text, and paths resolve against ``base``.  A JSON
+    boolean is no number, and an int takes only a number with no fraction."""
     if kind in _SCALARS:
+        fraction = kind == "int" and isinstance(value, float) and not value.is_integer()
+        if fraction or kind != "str" and isinstance(value, bool):
+            raise ValueError(f"expected {kind}, got {json.dumps(value)}")
         return _SCALARS[kind](value)
     if kind == "Path":
         return base / str(value)
@@ -452,11 +459,8 @@ def stopping_reason(
 
 
 def best_iteration(states: Sequence[IterationState]) -> IterationState:
-    best = states[0]
-    for state in states[1:]:
-        if state.dev_bleu > best.dev_bleu:
-            best = state
-    return best
+    # max keeps the first of equally scoring iterations
+    return max(states, key=lambda state: state.dev_bleu)
 
 
 def run_selftrain(config: PipelineConfig) -> Tuple[IterationState, str]:

@@ -88,22 +88,18 @@ def rerank(
     if weights.feature_names != matrix.feature_names:
         raise ValueError("weight vector does not match matrix columns")
     matrix.validate_against(corpus)
-    w = _masked_weights(weights, mask)
-    selections = tuple(int(np.argmax(arr @ w)) for arr in matrix.values)
-    texts = tuple(
-        corpus.lists[sid][pick].text for sid, pick in enumerate(selections)
-    )
-    score = None
-    if refs is not None:
-        if refs.num_sentences != corpus.num_sentences:
-            raise ValueError("references do not cover the corpus")
-        score = corpus_bleu(corpus_stats(texts, refs.refs))
+    selections = matrix.best_rows(_masked_weights(weights, mask))
+    texts = _texts(corpus, selections)
+    score = None if refs is None else corpus_bleu(corpus_stats(texts, refs.refs))
     return RerankResult(selections, texts, score)
 
 
+def _texts(corpus: NBestCorpus, picks: Sequence[int]) -> Tuple[str, ...]:
+    """The text of hypothesis ``picks[s]`` of each sentence ``s``."""
+    return tuple(corpus.lists[sid][pick].text for sid, pick in enumerate(picks))
+
+
 def _per_hypothesis_bleu(corpus: NBestCorpus, refs: ReferenceSet) -> HypStats:
-    if refs.num_sentences != corpus.num_sentences:
-        raise ValueError("references do not cover the corpus")
     return hyp_stats([corpus.texts(sid) for sid in range(corpus.num_sentences)], refs.refs)
 
 
@@ -129,10 +125,7 @@ def oracle_select(
     table = _per_hypothesis_bleu(corpus, refs)
     best, worst = _extremes(table, corpus.n_max)
     selections = tuple((best if mode == "oracle" else worst).tolist())
-    texts = tuple(
-        corpus.lists[sid][pick].text for sid, pick in enumerate(selections)
-    )
-    return RerankResult(selections, texts, table.bleu(selections))
+    return RerankResult(selections, _texts(corpus, selections), table.bleu(selections))
 
 
 def beam_sweep(

@@ -266,6 +266,42 @@ class TestDistillCli:
         assert "matrix" in err
 
 
+class TestReferenceCoverage:
+    @pytest.fixture
+    def short_refs(self, tmp_path, capsys):
+        """A 6-sentence n-best list with its matrix and weights, and 5 references."""
+        sources, refs, hyps = make_corpus(6, 3, seed=21)
+        write_lines(tmp_path / "nbest.txt", nbest_lines(hyps))
+        write_lines(tmp_path / "src.txt", sources)
+        write_lines(tmp_path / "ref.txt", [r[0] for r in refs[:5]])
+        write_lines(tmp_path / "weights.tsv", ["total\t1.0"])
+        code, _, _ = run(
+            capsys, "assemble", "--nbest", tmp_path / "nbest.txt", "--passthrough", "total",
+            "--out", tmp_path / "matrix.tsv",
+        )
+        assert code == 0
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "tune --matrix matrix.tsv --nbest nbest.txt --refs ref.txt --out w.tsv",
+            "rerank --matrix matrix.tsv --nbest nbest.txt --weights weights.tsv "
+            "--refs ref.txt --out sel.tsv",
+            "oracle --nbest nbest.txt --refs ref.txt",
+            "oracle --nbest nbest.txt --refs ref.txt --sweep 1,2",
+            "distill --strategy ki --nbest nbest.txt --src src.txt --orig-refs ref.txt "
+            "--out labels",
+        ],
+        ids=["tune", "rerank", "oracle", "sweep", "ki"],
+    )
+    def test_short_references_name_both_counts(self, short_refs, capsys, monkeypatch, argv):
+        monkeypatch.chdir(short_refs)
+        code, _, err = run(capsys, *argv.split())
+        assert code == 1
+        assert err.splitlines()[-1] == "error: references cover 5 sentences, corpus has 6"
+
+
 class TestDeterminism:
     def test_cli_outputs_byte_identical_across_runs(self, workspace, capsys):
         suite = TestAssembleTuneRerank()

@@ -243,6 +243,17 @@ class TestAssemble:
             matrix.values[0][0, 0] = 99.0
 
 
+class TestBestRows:
+    def test_first_of_equal_scores_wins(self):
+        matrix = FeatureMatrix(
+            ("a", "b"),
+            (np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 0.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])),
+        )
+        assert matrix.best_rows(np.array([1.0, 1.0])) == (2, 0)
+        assert matrix.best_rows(np.array([1.0, 2.0])) == (0, 0)
+        assert matrix.best_rows(np.zeros(2)) == (0, 0)
+
+
 class TestMatrixIO:
     def test_round_trip_exact(self):
         corpus = small_corpus()

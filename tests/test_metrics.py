@@ -204,6 +204,20 @@ class TestHypStats:
         with pytest.raises(ValueError):
             hyp_stats([["a"], ["b"]], [["a"]])
 
+    @pytest.mark.parametrize(
+        "score, hyps", [(hyp_stats, [["a"], ["b", "c"]]), (corpus_stats, ["a", "b"])],
+        ids=["hyp_stats", "corpus_stats"],
+    )
+    @pytest.mark.parametrize("refs", [[["a"]], [["a"], ["b"], ["c"]]], ids=["short", "long"])
+    def test_coverage_checked_before_tokenizing(self, monkeypatch, score, hyps, refs):
+        def refuse(text):
+            raise AssertionError("tokenized before the coverage check")
+
+        monkeypatch.setattr("nbdistill.metrics.tokenize_13a", refuse)
+        message = f"references cover {len(refs)} sentences, corpus has 2"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            score(hyps, iter(refs) if score is corpus_stats else refs)
+
 
 class TestCounterDefinitions:
     @settings(max_examples=200)

@@ -137,6 +137,50 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_file(path)
 
+    @staticmethod
+    def json_sections(tmp_path):
+        """The stub-hook fixture config, parsed, and a JSON document equal to it."""
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        sections = {
+            "pipeline": {"workdir": "work", "iterations_max": 3, "top_k_models": 2},
+            "data": {"tune_src": "tune.src", "tune_refs": "tune.ref", "dev_src": "dev.src",
+                     "dev_refs": "dev.ref", "transfer_src": "transfer.src"},
+            "features": {"passthrough": "total", "native": "mbr_bleu,len_ratio",
+                         "external": "lm"},
+            "hooks": config.hooks,
+            "mira": {"c": 0.01, "epochs": 4, "seed": 0},
+        }
+        return config, sections
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("pipeline", "top_k_models", True, "expected int, got true"),
+            ("pipeline", "iterations_max", 2.9, "expected int, got 2.9"),
+            ("mira", "epochs", 4.7, "expected int, got 4.7"),
+            ("mira", "c", True, "expected float, got true"),
+            ("pipeline", "min_delta", False, "expected float, got false"),
+        ],
+        ids=["bool-int", "fraction-iterations", "fraction-epochs", "bool-float", "bool-min-delta"],
+    )
+    def test_json_number_must_fit_its_key(self, tmp_path, section, key, value, message):
+        _, sections = self.json_sections(tmp_path)
+        sections[section][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(sections))
+        with pytest.raises(ValueError, match=f"^config key '{section}.{key}': {message}$"):
+            PipelineConfig.from_file(path)
+
+    def test_json_integral_float_is_an_int(self, tmp_path):
+        config, sections = self.json_sections(tmp_path)
+        sections["pipeline"]["iterations_max"] = 3.0
+        sections["mira"]["epochs"] = 4.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(sections))
+        parsed = PipelineConfig.from_file(path)
+        assert parsed == config
+        assert type(parsed.iterations_max) is int and type(parsed.mira.epochs) is int
+
     def test_known_keys_are_the_schema_properties(self):
         schema = json.loads((ROOT / "docs" / "config-schema.json").read_text())
         sections = schema["properties"]
@@ -181,6 +225,12 @@ class TestConfig:
         config = minimal_config(tmp_path, external=("lm",))
         with pytest.raises(ValueError, match="missing hook 'score_lm'"):
             config.validate()
+
+    def test_score_hook_without_external_feature_rejected(self, tmp_path):
+        config = minimal_config(tmp_path, hooks={"generate_nbest": "true", "score_lm": "true"})
+        with pytest.raises(ValueError, match="^hook 'score_lm' names no external feature$"):
+            config.validate()
+        minimal_config(tmp_path, hooks=config.hooks, external=("lm",)).validate()
 
     def test_missing_generate_hook(self, tmp_path):
         config = minimal_config(tmp_path, hooks={})
