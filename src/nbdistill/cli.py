@@ -24,14 +24,11 @@ from .pipeline import (
     rerank_file,
     rerank_labels_file,
     run_selftrain,
+    split_names,
     status_table,
     tune_file,
 )
 from .rerank import beam_sweep, format_selections, format_sweep, oracle_select
-
-
-def _names(arg: str | None) -> list[str]:
-    return [item for item in (arg or "").split(",") if item]
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -43,7 +40,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_evaluate(args) -> int:
     hyps = [line.rstrip("\n") for line in load_file(args.hyp, list)]
-    ref_files = _names(args.refs)
+    ref_files = split_names(args.refs)
     refs = load_reference_files(ref_files).refs
     if len(refs) != len(hyps):
         raise ValueError(
@@ -72,20 +69,21 @@ def cmd_assemble(args) -> int:
         if not path:
             raise ValueError(f"--scores expects NAME=FILE, got {item!r}")
         scores.append((name, path))
-    assemble_file(args.nbest, args.out, _names(args.passthrough), _names(args.native), scores)
+    passthrough, native = split_names(args.passthrough), split_names(args.native)
+    assemble_file(args.nbest, args.out, passthrough, native, scores)
     return 0
 
 
 def cmd_tune(args) -> int:
     config = MiraConfig(c=args.c, epochs=args.epochs, seed=args.seed, init=args.init)
-    tune_file(args.matrix, args.nbest, _names(args.refs), config, args.out)
+    tune_file(args.matrix, args.nbest, split_names(args.refs), config, args.out)
     return 0
 
 
 def cmd_rerank(args) -> int:
     result, mask = rerank_file(
         args.matrix, args.nbest, args.weights, args.out,
-        models=args.top_k_models, refs=_names(args.refs),
+        models=args.top_k_models, refs=split_names(args.refs),
     )
     if args.report:
         if result.corpus_score is not None:
@@ -97,7 +95,7 @@ def cmd_rerank(args) -> int:
 
 def cmd_oracle(args) -> int:
     corpus = load_file(args.nbest, load_nbest)
-    refs = load_reference_files(_names(args.refs))
+    refs = load_reference_files(split_names(args.refs))
     mode = "anti_oracle" if args.mode == "anti" else "oracle"
     print(
         "note: greedy per-sentence selection by smoothed sentence BLEU "
@@ -105,7 +103,7 @@ def cmd_oracle(args) -> int:
         file=sys.stderr,
     )
     if args.sweep:
-        rows, short_lists = beam_sweep(corpus, refs, [int(n) for n in _names(args.sweep)])
+        rows, short_lists = beam_sweep(corpus, refs, [int(n) for n in split_names(args.sweep)])
         _emit(format_sweep(rows), args.out)
         if short_lists:
             print(f"warning: {short_lists} truncated list(s)", file=sys.stderr)
@@ -131,7 +129,7 @@ def cmd_distill(args) -> int:
         elif not args.orig_refs:
             raise ValueError("--strategy ki requires --orig-refs")
         else:
-            labels = ki_select(corpus, load_reference_files(_names(args.orig_refs)))
+            labels = ki_select(corpus, load_reference_files(split_names(args.orig_refs)))
         sources = load_file(args.src, load_sources)
         paths = write_pseudo_labels(sources, labels, args.out, args.format)
     for p in paths:
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k-models", type=int, default=None,
                    help="restrict to the k largest-magnitude features")
     p.add_argument("--out", required=True, help="selections TSV (SID RANK TEXT)")
-    p.add_argument("--refs", default=None)
+    p.add_argument("--refs", default="")
     p.add_argument("--report", action="store_true", help="print corpus BLEU of the selection")
     p.set_defaults(func=cmd_rerank)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
@@ -79,8 +80,10 @@ class NBestCorpus:
     def n_max(self) -> int:
         return max(len(entries) for entries in self.lists)
 
-    def texts(self, sentence_id: int) -> List[str]:
-        return [e.text for e in self.lists[sentence_id]]
+    @cached_property
+    def texts(self) -> Tuple[Tuple[str, ...], ...]:
+        """The hypothesis texts of every list, in rank order."""
+        return tuple(tuple(hyp.text for hyp in entries) for entries in self.lists)
 
 
 @dataclass(frozen=True)
@@ -321,20 +324,19 @@ def write_pseudo_labels(
         raise ValueError(f"missing label for sentence {len(labels)}")
     if len(labels) > n:
         raise ValueError(f"label for unknown sentence {n}")
-    ordered = [labels[i] for i in range(n)]
-    for i, lab in enumerate(ordered):
+    for i, lab in enumerate(labels):
         if "\n" in lab or "\r" in lab:
             raise ValueError(f"label for sentence {i} contains a newline")
     if fmt == "parallel":
         texts = ["".join(s + "\n" for s in sources.sentences),
-                 "".join(lab + "\n" for lab in ordered)]
+                 "".join(lab + "\n" for lab in labels)]
     else:
-        for i, (s, lab) in enumerate(zip(sources.sentences, ordered)):
+        for i, (s, lab) in enumerate(zip(sources.sentences, labels)):
             if "\t" in lab:
                 raise ValueError(f"label for sentence {i} contains a tab (tsv format)")
             if "\t" in s:
                 raise ValueError(f"source sentence {i} contains a tab (tsv format)")
-        texts = ["".join(f"{s}\t{lab}\n" for s, lab in zip(sources.sentences, ordered))]
+        texts = ["".join(f"{s}\t{lab}\n" for s, lab in zip(sources.sentences, labels))]
     for path, text in zip(paths, texts):
         write_text(path, text)
     return paths

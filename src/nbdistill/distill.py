@@ -23,7 +23,7 @@ from .rerank import SelectionMask, oracle_select, rerank
 
 def kd_top1(corpus: NBestCorpus) -> Tuple[str, ...]:
     """Rank-0 hypothesis per sentence."""
-    return tuple(entries[0].text for entries in corpus.lists)
+    return tuple(texts[0] for texts in corpus.texts)
 
 
 def ki_select(corpus: NBestCorpus, original_refs: ReferenceSet) -> Tuple[str, ...]:

@@ -219,8 +219,7 @@ def assemble_matrix(
 
     p = len(passed)
     values = []
-    for rows, entries in zip(given, corpus.lists):
-        texts = [e.text for e in entries]
+    for rows, texts in zip(given, corpus.texts):
         computed: Dict[str, List[float]] = {}
         for name in native:
             if name in MBR_UTILITIES:

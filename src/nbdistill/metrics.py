@@ -10,10 +10,9 @@ geometric mean, so an exact match scores 100.0 at any length.
 chrF uses character n-grams of orders 1-6 over the string with whitespace
 runs collapsed to single spaces, F-score with beta=2, no word n-grams.
 
-All functions are pure; corpus aggregation is an associative, commutative
-reduction over per-sentence NGramStats.  ``hyp_stats`` tabulates the
-statistics of every n-best hypothesis once, so corpus BLEU of any selection is
-an integer sum over that table.
+All functions are pure.  ``hyp_stats`` tabulates the statistics of every
+n-best hypothesis once, so corpus BLEU of any selection is an integer sum over
+that table; ``corpus_stats`` is the sum over the table of a one-best stream.
 
 N-grams are counted in one place, ``_ngram_counts``; BLEU clipping, chrF and
 the MBR overlaps of ``features`` are min-and-sums over its count matrices.
@@ -68,18 +67,6 @@ class NGramStats:
     hyp_ngrams: Tuple[int, int, int, int]
     hyp_len: int
     ref_len: int
-
-    def __add__(self, other: "NGramStats") -> "NGramStats":
-        return NGramStats(
-            tuple(a + b for a, b in zip(self.clipped_matches, other.clipped_matches)),
-            tuple(a + b for a, b in zip(self.hyp_ngrams, other.hyp_ngrams)),
-            self.hyp_len + other.hyp_len,
-            self.ref_len + other.ref_len,
-        )
-
-    @staticmethod
-    def zero() -> "NGramStats":
-        return NGramStats((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -177,11 +164,6 @@ class HypStats:
         return corpus_bleu(_as_stats(total))
 
 
-def _check_coverage(lists: Sequence, refs: Sequence) -> None:
-    if len(refs) != len(lists):
-        raise ValueError(f"references cover {len(refs)} sentences, corpus has {len(lists)}")
-
-
 def hyp_stats(
     lists: Sequence[Sequence[str]], refs_per_sentence: Sequence[Sequence[str]]
 ) -> HypStats:
@@ -190,8 +172,10 @@ def hyp_stats(
     The references of a sentence are tokenized and counted once, and each
     distinct text of a list is tokenized, clipped and scored once.
     """
-    _check_coverage(lists, refs_per_sentence)
-    n_max = max(len(texts) for texts in lists)
+    covered, sentences = len(refs_per_sentence), len(lists)
+    if covered != sentences:
+        raise ValueError(f"references cover {covered} sentences, corpus has {sentences}")
+    n_max = max((len(texts) for texts in lists), default=0)
     stats = np.zeros((len(lists), n_max, 10), dtype=np.int64)
     valid = np.zeros((len(lists), n_max), dtype=bool)
     gains = np.zeros((len(lists), n_max))
@@ -209,15 +193,10 @@ def hyp_stats(
 def corpus_stats(
     hyps: Iterable[str], refs_per_sentence: Iterable[Sequence[str]]
 ) -> NGramStats:
-    """Tokenize and accumulate statistics over a parallel hyp/refs stream."""
-    hyps, refs_per_sentence = list(hyps), list(refs_per_sentence)
-    _check_coverage(hyps, refs_per_sentence)
-    total = NGramStats.zero()
-    for hyp, refs in zip(hyps, refs_per_sentence):
-        total = total + sentence_stats(
-            tokenize_13a(hyp), [tokenize_13a(r) for r in refs]
-        )
-    return total
+    """Statistics of a parallel hyp/refs stream: the column sum of its
+    ``hyp_stats`` table, one single-hypothesis list per sentence."""
+    table = hyp_stats([[h] for h in hyps], list(refs_per_sentence))
+    return _as_stats(table.stats.sum(axis=(0, 1)).tolist())
 
 
 def corpus_bleu(stats: NGramStats) -> BleuScore:

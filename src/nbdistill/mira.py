@@ -125,7 +125,7 @@ def tune_mira(
 
     # sentence BLEU of every hypothesis against the tune references, and the
     # statistics that make corpus BLEU of any selection a gather and a sum
-    table = hyp_stats([corpus.texts(sid) for sid in range(num_sentences)], refs.refs)
+    table = hyp_stats(corpus.texts, refs.refs)
     gains = [table.gains[sid, : len(rows)] for sid, rows in enumerate(matrix.values)]
 
     def bleu_of_weights(weights: np.ndarray) -> float:

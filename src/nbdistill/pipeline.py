@@ -164,16 +164,14 @@ class PipelineConfig:
                 ):
                     raise ValueError(f"unknown config key '{name}.{key}'")
             if name == "hooks":
-                kwargs["hooks"] = {str(k): str(v) for k, v in sec.items()}
+                kwargs["hooks"] = {
+                    k: _keyed(name, k, _convert, v, "str", base) for k, v in sec.items()}
             target, owner = (mira, MiraConfig) if name == "mira" else (kwargs, cls)
             for f in fields(owner):
                 if f.name not in keys:
                     continue
                 if f.name in sec:
-                    try:
-                        target[f.name] = _convert(sec[f.name], f.type, base)
-                    except (TypeError, ValueError) as exc:
-                        raise ValueError(f"config key '{name}.{f.name}': {exc}") from None
+                    target[f.name] = _keyed(name, f.name, _convert, sec[f.name], f.type, base)
                 elif f.default is MISSING and f.default_factory is MISSING:
                     raise ValueError(f"config missing '{name}.{f.name}'")
         return cls(mira=MiraConfig(**mira), **kwargs)
@@ -193,22 +191,39 @@ _KEY_TABLE = {
     "mira": ("c", "epochs", "seed", "init"),
 }
 CONFIG_KEYS = {name: set(keys) for name, keys in _KEY_TABLE.items()}
-_SCALARS = {"int": int, "float": float, "str": str}
+_NUMBERS = {"int": int, "float": float}
+
+
+def split_names(text: str) -> Tuple[str, ...]:
+    """The items of a comma list, stripped, with empty items dropped."""
+    return tuple(filter(None, map(str.strip, text.split(","))))
+
+
+def _keyed(section: str, key: str, convert: Callable, *args) -> object:
+    """``convert(*args)``, with an error that names the config key."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key '{section}.{key}': {exc}") from None
 
 
 def _convert(value: object, kind: str, base: Path) -> object:
-    """A config value as a field of declared type ``kind``; a list is a JSON
-    array or comma-separated text, and paths resolve against ``base``.  A JSON
-    boolean is no number, and an int takes only a number with no fraction."""
-    if kind in _SCALARS:
+    """A config value as a field of declared type ``kind``; paths resolve
+    against ``base``.  A string or path takes only a string, and a list a JSON
+    array of strings (one item each) or comma-separated text.  A JSON boolean
+    is no number, and an int takes only a number with no fraction."""
+    if kind in _NUMBERS:
         fraction = kind == "int" and isinstance(value, float) and not value.is_integer()
-        if fraction or kind != "str" and isinstance(value, bool):
+        if fraction or isinstance(value, bool):
             raise ValueError(f"expected {kind}, got {json.dumps(value)}")
-        return _SCALARS[kind](value)
-    if kind == "Path":
-        return base / str(value)
-    items = value if isinstance(value, list) else str(value).split(",")
-    names = tuple(str(v).strip() for v in items if str(v).strip())
+        return _NUMBERS[kind](value)
+    listed = kind.startswith("Tuple") and isinstance(value, list)
+    for item in value if listed else [value]:
+        if not isinstance(item, str):
+            raise ValueError(f"expected a string, got {json.dumps(item)}")
+    if kind in ("str", "Path"):
+        return base / value if kind == "Path" else value
+    names = tuple(filter(None, map(str.strip, value))) if listed else split_names(value)
     return tuple(base / name for name in names) if kind == "Tuple[Path, ...]" else names
 
 

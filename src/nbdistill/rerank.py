@@ -96,11 +96,7 @@ def rerank(
 
 def _texts(corpus: NBestCorpus, picks: Sequence[int]) -> Tuple[str, ...]:
     """The text of hypothesis ``picks[s]`` of each sentence ``s``."""
-    return tuple(corpus.lists[sid][pick].text for sid, pick in enumerate(picks))
-
-
-def _per_hypothesis_bleu(corpus: NBestCorpus, refs: ReferenceSet) -> HypStats:
-    return hyp_stats([corpus.texts(sid) for sid in range(corpus.num_sentences)], refs.refs)
+    return tuple(texts[pick] for texts, pick in zip(corpus.texts, picks))
 
 
 def _extremes(table: HypStats, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,7 +118,7 @@ def oracle_select(
     """Greedy per-sentence best (oracle) or worst (anti-oracle) selection."""
     if mode not in ORACLE_MODES:
         raise ValueError(f"mode must be one of {ORACLE_MODES}")
-    table = _per_hypothesis_bleu(corpus, refs)
+    table = hyp_stats(corpus.texts, refs.refs)
     best, worst = _extremes(table, corpus.n_max)
     selections = tuple((best if mode == "oracle" else worst).tolist())
     return RerankResult(selections, _texts(corpus, selections), table.bleu(selections))
@@ -146,7 +142,7 @@ def beam_sweep(
         raise ValueError(
             f"sweep size {max(sizes)} exceeds the longest list ({corpus.n_max})"
         )
-    table = _per_hypothesis_bleu(corpus, refs)
+    table = hyp_stats(corpus.texts, refs.refs)
     lengths = table.valid.sum(axis=1)
     top1 = table.bleu(np.zeros(corpus.num_sentences, dtype=np.int64)).value
     rows = []

@@ -6,9 +6,10 @@ and ``metrics.corpus_chrf`` must reproduce exactly.
 ``reference_tokenize_13a`` is a frozen copy of the 13a tokenizer with its
 original rule set, whose first class still contains the space.
 ``reference_sentence_stats`` rebuilds every reference's n-gram counts for each
-hypothesis.  ``reference_hyp_stats`` runs the loop the package used before the
-shared statistics table: tokenize the references, then tokenize and count
-every hypothesis of the list, duplicates included.  The chrF functions are a
+hypothesis, and ``reference_total`` sums such statistics field by field.
+``reference_hyp_stats`` runs the loop the package used before the shared
+statistics table: tokenize the references, then tokenize and count every
+hypothesis of the list, duplicates included.  The chrF functions are a
 frozen copy of the package's ``Counter`` intersection per reference and
 order, which the shared n-gram count matrices replaced.
 """
@@ -64,6 +65,17 @@ def reference_sentence_stats(hyp_tokens, refs_tokens):
             min(count, max_ref[gram]) for gram, count in hyp_counts.items()
         )
     return NGramStats(tuple(clipped), tuple(totals), hyp_len, ref_len)
+
+
+def reference_total(stats):
+    """Field-wise sum of NGramStats: the statistics of a whole corpus."""
+    stats = list(stats)
+    return NGramStats(
+        tuple(sum(s.clipped_matches[o] for s in stats) for o in range(4)),
+        tuple(sum(s.hyp_ngrams[o] for s in stats) for o in range(4)),
+        sum(s.hyp_len for s in stats),
+        sum(s.ref_len for s in stats),
+    )
 
 
 def reference_hyp_stats(lists, refs_per_sentence):

@@ -58,6 +58,15 @@ class TestEvaluate:
         )
         assert out.splitlines()[0] == "BLEU\t100.0000"
 
+    def test_empty_files_score_zero(self, capsys, tmp_path):
+        write_lines(tmp_path / "hyp.txt", [])
+        write_lines(tmp_path / "ref.txt", [])
+        code, out, _ = run(
+            capsys, "evaluate", "--hyp", tmp_path / "hyp.txt", "--refs", tmp_path / "ref.txt"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "BLEU\t0.0000"
+
     def test_mismatched_lengths_fail(self, workspace, capsys, tmp_path):
         short = tmp_path / "short.txt"
         short.write_text("one line\n")
@@ -148,6 +157,15 @@ class TestAssembleTuneRerank:
         assert code == 0
         header = (workspace / "matrix.tsv").read_text().splitlines()[0]
         assert header == "#features\ttotal\tlm\tmbr_bleu\tlen\tlen_ratio\text"
+
+    def test_comma_list_items_are_stripped(self, workspace, capsys):
+        for out, native in (("plain.tsv", "len,len_ratio"), ("spaced.tsv", "len, len_ratio")):
+            code, _, err = run(
+                capsys, "assemble", "--nbest", workspace / "nbest.txt",
+                "--native", native, "--out", workspace / out,
+            )
+            assert (code, err) == (0, "")
+        assert (workspace / "spaced.tsv").read_bytes() == (workspace / "plain.tsv").read_bytes()
 
     def test_assemble_bad_scores_spec(self, workspace, capsys):
         code, _, err = run(

@@ -204,7 +204,7 @@ class TestParallel:
 class TestWritePseudoLabels:
     def test_single_sentence_tgt_bytes(self, tmp_path):
         paths = write_pseudo_labels(
-            SourceCorpus(("src .",)), {0: "hello ."}, tmp_path / "out", "parallel"
+            SourceCorpus(("src .",)), ("hello .",), tmp_path / "out", "parallel"
         )
         tgt = [p for p in paths if p.suffix == ".tgt"][0]
         assert tgt.read_bytes() == b"hello .\n"
@@ -212,11 +212,11 @@ class TestWritePseudoLabels:
     def test_newline_in_label_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="newline"):
             write_pseudo_labels(
-                SourceCorpus(("s",)), {0: "bad\nlabel"}, tmp_path / "out", "tsv"
+                SourceCorpus(("s",)), ("bad\nlabel",), tmp_path / "out", "tsv"
             )
 
     def test_output_in_id_order(self, tmp_path):
-        labels = {2: "two", 0: "zero", 1: "one"}
+        labels = ("zero", "one", "two")
         paths = write_pseudo_labels(
             SourceCorpus(("a", "b", "c")), labels, tmp_path / "out", "tsv"
         )
@@ -225,15 +225,15 @@ class TestWritePseudoLabels:
 
     def test_missing_label(self, tmp_path):
         with pytest.raises(ValueError, match="missing label for sentence 1"):
-            write_pseudo_labels(SourceCorpus(("a", "b")), {0: "x"}, tmp_path / "o", "tsv")
+            write_pseudo_labels(SourceCorpus(("a", "b")), ("x",), tmp_path / "o", "tsv")
 
     def test_tsv_rejects_tabs(self, tmp_path):
         with pytest.raises(ValueError, match="tab"):
-            write_pseudo_labels(SourceCorpus(("a",)), {0: "x\ty"}, tmp_path / "o", "tsv")
+            write_pseudo_labels(SourceCorpus(("a",)), ("x\ty",), tmp_path / "o", "tsv")
 
     def test_byte_identical_across_runs(self, tmp_path):
         sources = SourceCorpus(("a", "b"))
-        labels = {0: "x", 1: "y"}
+        labels = ("x", "y")
         p1 = write_pseudo_labels(sources, labels, tmp_path / "one", "tsv")[0]
         p2 = write_pseudo_labels(sources, labels, tmp_path / "two", "tsv")[0]
         assert p1.read_bytes() == p2.read_bytes()

@@ -28,6 +28,7 @@ from reference_stats import (
     reference_sentence_chrf,
     reference_sentence_stats,
     reference_tokenize_13a,
+    reference_total,
 )
 from strategies import TEXTS, hypothesis_lists
 from synth import make_corpus
@@ -144,16 +145,15 @@ class TestCorpusBleu:
 
     def test_additivity_under_regrouping(self):
         _, refs, hyps = make_corpus(8, 1, seed=3)
-        pairs = [(hyps[i][0], refs[i]) for i in range(len(hyps))]
-        total = NGramStats.zero()
-        for hyp, ref in pairs:
-            total = total + sentence_stats(hyp.split(), [r.split() for r in ref])
-        reversed_total = NGramStats.zero()
-        for hyp, ref in reversed(pairs):
-            reversed_total = reversed_total + sentence_stats(
-                hyp.split(), [r.split() for r in ref]
+        stream = [h[0] for h in hyps]
+        total = corpus_stats(stream, refs)
+        assert corpus_stats(stream[::-1], refs[::-1]) == total
+        assert total == reference_total(
+            reference_sentence_stats(
+                reference_tokenize_13a(hyp), [reference_tokenize_13a(r) for r in ref]
             )
-        assert total == reversed_total
+            for hyp, ref in zip(stream, refs)
+        )
 
     def test_corpus_of_reference_copies_scores_100(self):
         _, refs, _ = make_corpus(6, 1, seed=4, num_refs=2)
@@ -195,9 +195,7 @@ class TestHypStats:
             assert repr(table.gains[sid, :n].tolist()) == repr(want_gains[sid])
             assert table.valid[sid].tolist() == [True] * n + [False] * (n_max - n)
             assert not table.stats[sid, n:].any()
-        total = NGramStats.zero()
-        for sid, pick in enumerate(picks):
-            total = total + want_stats[sid][pick]
+        total = reference_total(want_stats[sid][pick] for sid, pick in enumerate(picks))
         assert repr(table.bleu(picks)) == repr(corpus_bleu(total))
 
     def test_reference_lists_must_match(self):

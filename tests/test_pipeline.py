@@ -181,6 +181,32 @@ class TestConfig:
         assert parsed == config
         assert type(parsed.iterations_max) is int and type(parsed.mira.epochs) is int
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("pipeline", "workdir", True, "expected a string, got true"),
+            ("data", "tune_refs", [2.5, "tune.ref"], "expected a string, got 2.5"),
+            ("mira", "init", 0, "expected a string, got 0"),
+            ("hooks", "generate_nbest", False, "expected a string, got false"),
+        ],
+        ids=["workdir", "list-item", "str", "hook"],
+    )
+    def test_json_string_keys_take_only_strings(self, tmp_path, section, key, value, message):
+        _, sections = self.json_sections(tmp_path)
+        sections[section][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(sections))
+        with pytest.raises(ValueError, match=f"^config key '{section}.{key}': {message}$"):
+            PipelineConfig.from_file(path)
+
+    def test_json_array_items_are_not_split(self, tmp_path):
+        _, sections = self.json_sections(tmp_path)
+        sections["data"]["tune_refs"] = ["a,b.ref", "tune.ref"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(sections))
+        parsed = PipelineConfig.from_file(path)
+        assert parsed.tune_refs == (tmp_path / "a,b.ref", tmp_path / "tune.ref")
+
     def test_known_keys_are_the_schema_properties(self):
         schema = json.loads((ROOT / "docs" / "config-schema.json").read_text())
         sections = schema["properties"]

@@ -5,7 +5,7 @@ import pytest
 
 from nbdistill.corpus import ReferenceSet, load_nbest
 from nbdistill.features import assemble_matrix
-from nbdistill.metrics import NGramStats, corpus_bleu, sentence_bleu
+from nbdistill.metrics import corpus_bleu, sentence_bleu
 from nbdistill.mira import WeightVector
 from nbdistill.rerank import (
     SelectionMask,
@@ -16,7 +16,7 @@ from nbdistill.rerank import (
     select_models,
 )
 from oracles import bf_argmax_dot, bf_topk_by_magnitude
-from reference_stats import reference_hyp_stats
+from reference_stats import reference_hyp_stats, reference_total
 from synth import make_corpus, nbest_lines
 
 
@@ -83,10 +83,8 @@ class TestRerank:
         corpus, refset, matrix = build(8, 4, seed=4)
         weights = WeightVector(matrix.feature_names, (0.3, 1.0, -0.2, 0.05))
         result = rerank(matrix, corpus, weights, refs=refset)
-        stats, _ = reference_hyp_stats([corpus.texts(s) for s in range(8)], refset.refs)
-        total = NGramStats.zero()
-        for sid, pick in enumerate(result.selections):
-            total = total + stats[sid][pick]
+        stats, _ = reference_hyp_stats(corpus.texts, refset.refs)
+        total = reference_total(stats[sid][pick] for sid, pick in enumerate(result.selections))
         assert result.corpus_score == corpus_bleu(total)
 
 
@@ -229,10 +227,7 @@ class TestBeamSweep:
         stats, gains = reference_hyp_stats(hyps, refs)
 
         def corpus_score(picks):
-            total = NGramStats.zero()
-            for sid, pick in enumerate(picks):
-                total = total + stats[sid][pick]
-            return corpus_bleu(total)
+            return corpus_bleu(reference_total(stats[sid][pick] for sid, pick in enumerate(picks)))
 
         def first(values, pick):
             return values.index(pick(values))
