@@ -12,7 +12,6 @@ from .corpus import (
     ExternalScoreTable,
     FormatError,
     NBestCorpus,
-    NBestEntry,
     ReferenceSet,
     SourceCorpus,
     load_nbest,

@@ -8,7 +8,8 @@ File formats (all UTF-8, ``\\n`` line endings):
 
   with a single space on each side of every ``|||``.  SIDs are base-10,
   non-decreasing and dense from 0; ranks follow order of appearance.
-  Duplicate hypothesis texts are kept as-is.
+  Duplicate hypothesis texts are kept as-is.  An ``NBestCorpus`` stores no
+  ids: its three aligned columns are indexed by sentence id, then rank.
 
 * external score table: ``SID<TAB>RANK<TAB>SCORE``, no header row.
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
@@ -42,48 +42,39 @@ class FormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class NBestEntry:
-    """One hypothesis of an n-best list, with the scores its generator emitted."""
-
-    sentence_id: int
-    rank: int
-    text: str
-    teacher_scores: Dict[str, float]
-    total: float
-
-    def __post_init__(self):
-        if self.sentence_id < 0 or self.rank < 0:
-            raise ValueError("sentence_id and rank must be non-negative")
-        if "\n" in self.text or "\r" in self.text:
-            raise ValueError("hypothesis text must not contain newlines")
-        if "|||" in self.text:
-            raise ValueError("hypothesis text must not contain '|||'")
-
-
-@dataclass(frozen=True)
 class NBestCorpus:
-    """All hypotheses per source sentence; index into ``lists`` is the sentence id."""
+    """All hypotheses per source sentence, as three aligned columns.
 
-    lists: Tuple[Tuple[NBestEntry, ...], ...]
+    Entry ``[s][r]`` of each field belongs to hypothesis ``r`` of sentence
+    ``s``: the position is the sentence id and the rank.
+    """
+
+    texts: Tuple[Tuple[str, ...], ...]
+    teacher_scores: Tuple[Tuple[Dict[str, float], ...], ...]
+    totals: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self):
-        if not self.lists:
+        if not self.texts:
             raise ValueError("no sentences")
-        if any(not entries for entries in self.lists):
+        if not all(self.texts):
             raise ValueError("empty hypothesis list")
+        columns = (self.texts, self.teacher_scores, self.totals)
+        if len({tuple(map(len, column)) for column in columns}) > 1:
+            raise ValueError("texts, teacher_scores and totals differ in list lengths")
+        for texts in self.texts:
+            for text in texts:
+                if "\n" in text or "\r" in text:
+                    raise ValueError("hypothesis text must not contain newlines")
+                if "|||" in text:
+                    raise ValueError("hypothesis text must not contain '|||'")
 
     @property
     def num_sentences(self) -> int:
-        return len(self.lists)
+        return len(self.texts)
 
     @property
     def n_max(self) -> int:
-        return max(len(entries) for entries in self.lists)
-
-    @cached_property
-    def texts(self) -> Tuple[Tuple[str, ...], ...]:
-        """The hypothesis texts of every list, in rank order."""
-        return tuple(tuple(hyp.text for hyp in entries) for entries in self.lists)
+        return max(len(texts) for texts in self.texts)
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ class ReferenceSet:
 
 @dataclass(frozen=True)
 class ExternalScoreTable:
-    """Out-of-process model scores keyed by (sentence_id, rank)."""
+    """Out-of-process model scores keyed by (sentence id, rank)."""
 
     feature_name: str
     scores: Dict[Tuple[int, int], float]
@@ -124,8 +115,8 @@ class ExternalScoreTable:
         """Check that the key set exactly covers the corpus (no missing, no extra)."""
         corpus_keys = {
             (sid, rank)
-            for sid, entries in enumerate(corpus.lists)
-            for rank in range(len(entries))
+            for sid, texts in enumerate(corpus.texts)
+            for rank in range(len(texts))
         }
         table_keys = set(self.scores)
         missing = sorted(corpus_keys - table_keys)
@@ -172,7 +163,7 @@ def load_nbest(stream: Iterable[str]) -> NBestCorpus:
     Raises FormatError (with the offending line number) on malformed lines,
     decreasing or non-dense sentence ids, or an empty stream.
     """
-    lists: List[List[NBestEntry]] = []
+    lists: List[List[Tuple[str, Dict[str, float], float]]] = []
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\n")
         fields = line.split(SEP)
@@ -197,11 +188,11 @@ def load_nbest(stream: Iterable[str]) -> NBestCorpus:
         elif sid > cur + 1:
             raise FormatError(f"non-dense sentence ids: jump from {cur} to {sid}", lineno)
         scores = _parse_scores(score_fld, lineno)
-        total = _parse_float(total_str, lineno, "total")
-        lists[sid].append(NBestEntry(sid, len(lists[sid]), text, scores, total))
+        lists[sid].append((text, scores, _parse_float(total_str, lineno, "total")))
     if not lists:
         raise FormatError("no sentences")
-    return NBestCorpus(tuple(tuple(entries) for entries in lists))
+    # each list's (text, scores, total) rows, transposed into the three columns
+    return NBestCorpus(*zip(*(tuple(zip(*hyps)) for hyps in lists)))
 
 
 def load_file(path: str | Path, load: Callable, *args):
@@ -227,10 +218,10 @@ def _fmt(value: float) -> str:
 
 def write_nbest(corpus: NBestCorpus, out: TextIO) -> None:
     """Serialize an NBestCorpus; the exact dual of load_nbest."""
-    for entries in corpus.lists:
-        for e in entries:
-            score_fld = " ".join(f"{k}= {_fmt(v)}" for k, v in e.teacher_scores.items())
-            out.write(f"{e.sentence_id}{SEP}{e.text}{SEP}{score_fld}{SEP}{_fmt(e.total)}\n")
+    for sid, hyps in enumerate(zip(corpus.texts, corpus.teacher_scores, corpus.totals)):
+        for text, scores, total in zip(*hyps):
+            score_fld = " ".join(f"{k}= {_fmt(v)}" for k, v in scores.items())
+            out.write(f"{sid}{SEP}{text}{SEP}{score_fld}{SEP}{_fmt(total)}\n")
 
 
 def load_scores(stream: Iterable[str], feature_name: str) -> ExternalScoreTable:

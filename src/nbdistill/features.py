@@ -76,11 +76,11 @@ class FeatureMatrix:
                 f"matrix has {self.num_sentences} sentences, corpus has "
                 f"{corpus.num_sentences}"
             )
-        for sid, (arr, entries) in enumerate(zip(self.values, corpus.lists)):
-            if len(arr) != len(entries):
+        for sid, (arr, texts) in enumerate(zip(self.values, corpus.texts)):
+            if len(arr) != len(texts):
                 raise ValueError(
                     f"sentence {sid}: matrix has {len(arr)} rows, corpus has "
-                    f"{len(entries)} hypotheses"
+                    f"{len(texts)} hypotheses"
                 )
 
 
@@ -158,25 +158,19 @@ def passthrough_features(
     """Columns of scores the n-best file already carries, in requested order.
 
     The reserved name ``total`` reads the generating model's combined score;
-    any other name looks up the per-entry score map.
+    any other name looks up the per-hypothesis score map.
     """
     columns = []
     for name in names:
+        if name == "total":
+            columns.append((name, [list(totals) for totals in corpus.totals]))
+            continue
         per_sentence: List[List[float]] = []
-        for entries in corpus.lists:
-            row = []
-            for e in entries:
-                if name == "total":
-                    value = e.total
-                elif name in e.teacher_scores:
-                    value = e.teacher_scores[name]
-                else:
-                    raise ValueError(
-                        f"score {name!r} missing at sentence {e.sentence_id} "
-                        f"rank {e.rank}"
-                    )
-                row.append(value)
-            per_sentence.append(row)
+        for sid, scores in enumerate(corpus.teacher_scores):
+            for rank, hyp in enumerate(scores):
+                if name not in hyp:
+                    raise ValueError(f"score {name!r} missing at sentence {sid} rank {rank}")
+            per_sentence.append([hyp[name] for hyp in scores])
         columns.append((name, per_sentence))
     return columns
 
@@ -209,9 +203,9 @@ def assemble_matrix(
         table.validate_against(corpus)
     passed = [col for _, col in passthrough_features(corpus, passthrough)]
     given = []  # each list's passthrough rows, then its external rows
-    for sid, entries in enumerate(corpus.lists):
+    for sid, texts in enumerate(corpus.texts):
         rows = [col[sid] for col in passed] + [
-            [t.scores[(sid, rank)] for rank in range(len(entries))] for t in external_tables
+            [t.scores[(sid, rank)] for rank in range(len(texts))] for t in external_tables
         ]
         if not np.isfinite(rows).all():
             raise ValueError(f"non-finite feature value at sentence {sid}")
@@ -268,7 +262,7 @@ def load_matrix(stream: Iterable[str]) -> FeatureMatrix:
             raise FormatError("non-finite feature value", lineno)
         if sid == len(rows):
             rows.append([])
-        elif sid != len(rows) - 1:
+        elif sid != len(rows) - 1 or sid < 0:
             raise FormatError("sentence ids must be dense and non-decreasing", lineno)
         if rank != len(rows[sid]):
             raise FormatError(

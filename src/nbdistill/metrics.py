@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -149,13 +150,20 @@ class HypStats:
     ``stats[s, t]`` holds the clipped matches (orders 1-4), the hypothesis
     n-gram counts (orders 1-4), hyp_len and ref_len of hypothesis ``t`` of
     sentence ``s``, exactly as ``sentence_stats`` gives them, and
-    ``gains[s, t]`` its smoothed sentence BLEU.  Lists are padded to the
-    longest one; ``valid`` is False on padding, which holds zeros.
+    ``gains[s, t]`` its smoothed sentence BLEU, computed on first use.  Lists
+    are padded to the longest one; ``valid`` is False on padding, which holds
+    zeros and scores 0.0.
     """
 
     stats: np.ndarray  # (S, N_max, 10) int64
     valid: np.ndarray  # (S, N_max) bool
-    gains: np.ndarray  # (S, N_max) float64
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """(S, N_max) float64, scoring each distinct row of ``stats`` once."""
+        rows, inverse = np.unique(self.stats.reshape(-1, 10), axis=0, return_inverse=True)
+        scores = np.array([corpus_bleu(_as_stats(row)).value for row in rows.tolist()])
+        return scores[inverse.reshape(self.valid.shape)]
 
     def bleu(self, picks: Sequence[int]) -> BleuScore:
         """Corpus BLEU of the selection holding hypothesis ``picks[s]`` of
@@ -170,7 +178,7 @@ def hyp_stats(
     """Tabulate every hypothesis text of every list against its references.
 
     The references of a sentence are tokenized and counted once, and each
-    distinct text of a list is tokenized, clipped and scored once.
+    distinct text of a list is tokenized and clipped once.
     """
     covered, sentences = len(refs_per_sentence), len(lists)
     if covered != sentences:
@@ -178,16 +186,14 @@ def hyp_stats(
     n_max = max((len(texts) for texts in lists), default=0)
     stats = np.zeros((len(lists), n_max, 10), dtype=np.int64)
     valid = np.zeros((len(lists), n_max), dtype=bool)
-    gains = np.zeros((len(lists), n_max))
     for sid, (texts, refs) in enumerate(zip(lists, refs_per_sentence)):
         index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
         rows = _list_stats([tokenize_13a(t) for t in index], [tokenize_13a(r) for r in refs])
         picks = [index[t] for t in texts]
         n = len(texts)
         stats[sid, :n] = rows[picks]
-        gains[sid, :n] = np.array([corpus_bleu(_as_stats(r)).value for r in rows.tolist()])[picks]
         valid[sid, :n] = True
-    return HypStats(stats, valid, gains)
+    return HypStats(stats, valid)
 
 
 def corpus_stats(

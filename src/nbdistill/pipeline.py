@@ -306,17 +306,17 @@ def tune_file(
 
 def _rerank_inputs(
     matrix: str | Path, nbest: str | Path, weights: str | Path,
-    models: int | SelectionMask | None,
+    models: Optional[int],
 ) -> Tuple[FeatureMatrix, NBestCorpus, WeightVector, Optional[SelectionMask]]:
-    """The arguments of ``rerank``; ``models`` is a mask, or k for ``select_models``."""
+    """The arguments of ``rerank``; ``models`` is k for ``select_models``."""
     loaded = load_file(weights, load_weights)
-    mask = select_models(loaded, models) if isinstance(models, int) else models
+    mask = None if models is None else select_models(loaded, models)
     return load_file(matrix, load_matrix), load_file(nbest, load_nbest), loaded, mask
 
 
 def rerank_file(
     matrix: str | Path, nbest: str | Path, weights: str | Path, out: str | Path,
-    models: int | SelectionMask | None = None, refs: Sequence[str | Path] = (),
+    models: Optional[int] = None, refs: Sequence[str | Path] = (),
 ) -> Tuple[RerankResult, Optional[SelectionMask]]:
     """Write the ``SID<TAB>RANK<TAB>TEXT`` selections of the reranker and
     return them with the mask applied; ``refs`` add the corpus BLEU."""
@@ -328,7 +328,7 @@ def rerank_file(
 
 def rerank_labels_file(
     matrix: str | Path, nbest: str | Path, weights: str | Path, src: str | Path,
-    out_prefix: str | Path, fmt: str = "tsv", models: int | SelectionMask | None = None,
+    out_prefix: str | Path, fmt: str = "tsv", models: Optional[int] = None,
 ) -> List[Path]:
     """Write the reranker's pseudo-labels for the sources in ``src``;
     returns the written paths."""
@@ -373,11 +373,6 @@ class _Iteration:
     def scores(self, feature: str, set_name: str) -> Path:
         return self.dir / f"scores.{feature}.{set_name}.tsv"
 
-    def mask(self) -> SelectionMask:
-        """The models the ``select`` stage wrote."""
-        names = [line.strip() for line in self.selected.read_text(encoding="utf-8").splitlines()]
-        return SelectionMask(frozenset(filter(None, names)))
-
 
 def _generate_nbest(it: _Iteration) -> None:
     for name in DATA_SETS:
@@ -410,14 +405,14 @@ def _select(it: _Iteration) -> None:
 def _distill(it: _Iteration) -> None:
     rerank_labels_file(
         it.matrix["transfer"], it.nbest["transfer"], it.weights, it.config.transfer_src,
-        it.labels, it.config.label_format, models=it.mask(),
+        it.labels, it.config.label_format, models=it.config.top_k_models,
     )
 
 
 def _evaluate(it: _Iteration) -> None:
     result, _ = rerank_file(
         it.matrix["dev"], it.nbest["dev"], it.weights, it.dir / "selections.dev.tsv",
-        models=it.mask(), refs=it.config.dev_refs,
+        models=it.config.top_k_models, refs=it.config.dev_refs,
     )
     write_text(it.dev_bleu, repr(result.corpus_score.value) + "\n")
 

@@ -141,9 +141,8 @@ def test_criterion_4_kd_ki_rerank_consistency():
         # one-hot 'total' rerank equals KD top-1 on a total-sorted fixture
         _, refs, hyps = make_corpus(12, 5, seed=104)
         corpus = load_nbest(nbest_lines(hyps))
-        for entries in corpus.lists:
-            totals = [e.total for e in entries]
-            assert totals == sorted(totals, reverse=True)
+        for totals in corpus.totals:
+            assert list(totals) == sorted(totals, reverse=True)
         matrix = assemble_matrix(corpus, passthrough=["total"], native=["len"])
         one_hot = WeightVector(matrix.feature_names, (1.0, 0.0))
         assert rerank_labels(matrix, corpus, one_hot) == kd_top1(corpus)
@@ -151,8 +150,8 @@ def test_criterion_4_kd_ki_rerank_consistency():
         # KI selections are exhaustively optimal per sentence
         refset = ReferenceSet(tuple(tuple(r) for r in refs))
         ki = ki_select(corpus, refset)
-        for sid, entries in enumerate(corpus.lists):
-            scores = [sentence_bleu(e.text, list(refset.refs[sid])) for e in entries]
+        for sid, texts in enumerate(corpus.texts):
+            scores = [sentence_bleu(text, list(refset.refs[sid])) for text in texts]
             assert sentence_bleu(ki[sid], list(refset.refs[sid])) == max(scores)
 
         # n=1 collapses all three strategies

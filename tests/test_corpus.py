@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from nbdistill.corpus import (
     ExternalScoreTable,
     FormatError,
-    NBestEntry,
+    NBestCorpus,
     SourceCorpus,
     load_nbest,
     load_reference_files,
@@ -16,6 +16,7 @@ from nbdistill.corpus import (
     write_nbest,
     write_pseudo_labels,
 )
+from nbdistill.features import load_matrix
 
 
 class TestLoadNBest:
@@ -26,11 +27,9 @@ class TestLoadNBest:
     def test_single_line(self):
         corpus = load_nbest(["0 ||| the cat . ||| lm= -4.2 tm= -1.1 ||| -5.3"])
         assert corpus.num_sentences == 1
-        entry = corpus.lists[0][0]
-        assert entry.text == "the cat ."
-        assert entry.teacher_scores == {"lm": -4.2, "tm": -1.1}
-        assert entry.total == -5.3
-        assert entry.rank == 0
+        assert corpus.texts == (("the cat .",),)
+        assert corpus.teacher_scores == (({"lm": -4.2, "tm": -1.1},),)
+        assert corpus.totals == ((-5.3,),)
 
     def test_ranks_follow_order_of_appearance(self):
         corpus = load_nbest(
@@ -40,10 +39,8 @@ class TestLoadNBest:
                 "1 ||| c ||| lm= 3.0 ||| 3.0",
             ]
         )
-        assert [len(l) for l in corpus.lists] == [2, 1]
-        assert corpus.lists[0][0].rank == 0
-        assert corpus.lists[0][1].rank == 1
-        assert corpus.lists[1][0].rank == 0
+        assert corpus.texts == (("a", "b"), ("c",))
+        assert corpus.totals == ((1.0, 2.0), (3.0,))
         assert corpus.n_max == 2
 
     def test_malformed_line_reports_line_number(self):
@@ -67,13 +64,53 @@ class TestLoadNBest:
 
     def test_duplicate_texts_are_kept(self):
         corpus = load_nbest(["0 ||| same |||  ||| 2.0", "0 ||| same |||  ||| 1.0"])
-        assert [e.text for e in corpus.lists[0]] == ["same", "same"]
+        assert corpus.texts[0] == ("same", "same")
 
     def test_bad_score_field(self):
         with pytest.raises(FormatError, match="score"):
             load_nbest(["0 ||| a ||| lm -4.2 ||| 1.0"])
         with pytest.raises(FormatError, match="duplicate score name"):
             load_nbest(["0 ||| a ||| lm= 1.0 lm= 2.0 ||| 1.0"])
+
+
+class TestNBestCorpus:
+    def test_position_is_sentence_id_and_rank(self):
+        corpus = NBestCorpus(
+            (("a", "b"), ("c",)), (({"lm": 1.0}, {}), ({"lm": 2.0},)), ((0.0, 0.0), (1.0,))
+        )
+        buf = io.StringIO()
+        write_nbest(corpus, buf)
+        assert buf.getvalue() == (
+            "0 ||| a ||| lm= 1.0 ||| 0.0\n0 ||| b |||  ||| 0.0\n1 ||| c ||| lm= 2.0 ||| 1.0\n"
+        )
+        assert load_nbest(io.StringIO(buf.getvalue())) == corpus
+
+    @pytest.mark.parametrize(
+        "teacher_scores, totals",
+        [
+            ((({},), ({},)), ((0.0, 0.0), (1.0,))),  # sentence 0 lacks a score map
+            ((({}, {}), ({},)), ((0.0,), (1.0,))),  # sentence 0 lacks a total
+            ((({}, {}),), ((0.0, 0.0),)),  # sentence 1 is missing altogether
+        ],
+    )
+    def test_fields_must_have_equal_list_lengths(self, teacher_scores, totals):
+        with pytest.raises(ValueError, match="differ in list lengths"):
+            NBestCorpus((("a", "b"), ("c",)), teacher_scores, totals)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("a ||| b", r"'\|\|\|'"), ("a|||b", r"'\|\|\|'"),
+         ("a\nb", "newlines"), ("a\rb", "newlines")],
+    )
+    def test_text_must_fit_one_field_of_one_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            NBestCorpus((("ok", text),), (({}, {}),), ((0.0, 0.0),))
+
+    def test_no_sentences_and_empty_lists_rejected(self):
+        with pytest.raises(ValueError, match="no sentences"):
+            NBestCorpus((), (), ())
+        with pytest.raises(ValueError, match="empty hypothesis list"):
+            NBestCorpus((("a",), ()), (({},), ()), ((0.0,), ()))
 
 
 _name = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
@@ -87,23 +124,15 @@ _score = st.floats(allow_nan=False, allow_infinity=False, width=32)
 def corpora(draw):
     num_sentences = draw(st.integers(1, 5))
     score_names = draw(st.lists(_name, min_size=0, max_size=3, unique=True))
-    lists = []
-    for sid in range(num_sentences):
-        n = draw(st.integers(1, 4))
-        entries = tuple(
-            NBestEntry(
-                sid,
-                rank,
-                draw(_text),
-                {name: draw(_score) for name in score_names},
-                draw(_score),
-            )
-            for rank in range(n)
-        )
-        lists.append(entries)
-    from nbdistill.corpus import NBestCorpus
-
-    return NBestCorpus(tuple(lists))
+    sizes = [draw(st.integers(1, 4)) for _ in range(num_sentences)]
+    return NBestCorpus(
+        tuple(tuple(draw(_text) for _ in range(n)) for n in sizes),
+        tuple(
+            tuple({name: draw(_score) for name in score_names} for _ in range(n))
+            for n in sizes
+        ),
+        tuple(tuple(draw(_score) for _ in range(n)) for n in sizes),
+    )
 
 
 class TestRoundTrip:
@@ -116,6 +145,22 @@ class TestRoundTrip:
         buf2 = io.StringIO()
         write_nbest(reloaded, buf2)
         assert buf2.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("sid", ["-1", "x"])
+@pytest.mark.parametrize(
+    "load, template, line",
+    [
+        (load_nbest, "{} ||| a |||  ||| 0.0\n", 1),
+        (lambda stream: load_scores(stream, "lm"), "{}\t0\t1.0\n", 1),
+        (load_matrix, "#features\tf\n{}\t0\t1.0\n", 2),
+    ],
+    ids=["nbest", "scores", "matrix"],
+)
+def test_bad_first_sentence_id_is_a_line_numbered_error(load, template, line, sid):
+    with pytest.raises(FormatError) as err:
+        load(io.StringIO(template.format(sid)))
+    assert err.value.line == line
 
 
 class TestLoadScores:

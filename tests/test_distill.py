@@ -27,9 +27,8 @@ class TestKdTop1:
 
     def test_equals_one_hot_total_rerank_on_sorted_fixture(self):
         _, corpus, _, _, _ = build(6, 4, seed=2)
-        for entries in corpus.lists:  # fixture precondition: rank order = total order
-            totals = [e.total for e in entries]
-            assert totals == sorted(totals, reverse=True)
+        for totals in corpus.totals:  # fixture precondition: rank order = total order
+            assert list(totals) == sorted(totals, reverse=True)
         matrix = assemble_matrix(corpus, passthrough=["total"], native=["len"])
         one_hot = WeightVector(matrix.feature_names, (1.0, 0.0))
         assert rerank_labels(matrix, corpus, one_hot) == kd_top1(corpus)
@@ -55,9 +54,9 @@ class TestKiSelect:
     def test_exhaustive_optimality(self):
         _, corpus, refset, _, _ = build(8, 4, seed=4)
         chosen = ki_select(corpus, refset)
-        for sid, entries in enumerate(corpus.lists):
+        for sid, texts in enumerate(corpus.texts):
             refs = list(refset.refs[sid])
-            best = max(sentence_bleu(e.text, refs) for e in entries)
+            best = max(sentence_bleu(text, refs) for text in texts)
             assert sentence_bleu(chosen[sid], refs) == best
 
     def test_misaligned(self):

@@ -195,12 +195,25 @@ class TestHypStats:
             assert repr(table.gains[sid, :n].tolist()) == repr(want_gains[sid])
             assert table.valid[sid].tolist() == [True] * n + [False] * (n_max - n)
             assert not table.stats[sid, n:].any()
+            assert not table.gains[sid, n:].any()
         total = reference_total(want_stats[sid][pick] for sid, pick in enumerate(picks))
         assert repr(table.bleu(picks)) == repr(corpus_bleu(total))
 
     def test_reference_lists_must_match(self):
         with pytest.raises(ValueError):
             hyp_stats([["a"], ["b"]], [["a"]])
+
+    def test_corpus_stats_scores_no_sentence(self, monkeypatch):
+        calls = []
+
+        def counted(stats):
+            calls.append(stats)
+            return corpus_bleu(stats)
+
+        monkeypatch.setattr("nbdistill.metrics.corpus_bleu", counted)
+        _, refs, hyps = make_corpus(5, 1, seed=5)
+        corpus_stats([h[0] for h in hyps], refs)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "score, hyps", [(hyp_stats, [["a"], ["b", "c"]]), (corpus_stats, ["a", "b"])],

@@ -167,9 +167,8 @@ class TestEvaluateWeights:
     def test_one_hot_total_equals_rank0_bleu(self):
         corpus, refset, matrix, refs, hyps = build(10, 4, seed=6)
         # fixture precondition: rank order follows the total score
-        for entries in corpus.lists:
-            totals = [e.total for e in entries]
-            assert totals == sorted(totals, reverse=True)
+        for totals in corpus.totals:
+            assert list(totals) == sorted(totals, reverse=True)
         one_hot = WeightVector(
             matrix.feature_names,
             tuple(1.0 if n == "total" else 0.0 for n in matrix.feature_names),

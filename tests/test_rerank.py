@@ -66,7 +66,7 @@ class TestRerank:
         weights = WeightVector(matrix.feature_names, (1.0, 0.5, -0.5, 0.1))
         result = rerank(matrix, corpus, weights, refs=refset)
         for sid, pick in enumerate(result.selections):
-            assert result.selected_texts[sid] == corpus.lists[sid][pick].text
+            assert result.selected_texts[sid] == corpus.texts[sid][pick]
         assert result.corpus_score is not None
 
     def test_random_weights_match_bruteforce(self):
@@ -166,8 +166,8 @@ class TestOracle:
         corpus, refset, _ = build(10, 4, seed=9)
         oracle = oracle_select(corpus, refset, "oracle")
         anti = oracle_select(corpus, refset, "anti_oracle")
-        for sid, entries in enumerate(corpus.lists):
-            scores = [sentence_bleu(e.text, list(refset.refs[sid])) for e in entries]
+        for sid, texts in enumerate(corpus.texts):
+            scores = [sentence_bleu(text, list(refset.refs[sid])) for text in texts]
             assert scores[oracle.selections[sid]] == max(scores)
             assert scores[anti.selections[sid]] == min(scores)
 
