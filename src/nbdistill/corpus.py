@@ -180,6 +180,8 @@ def load_nbest(stream: Iterable[str]) -> NBestCorpus:
             raise FormatError(f"negative sentence id {sid}", lineno)
         if "|||" in text:
             raise FormatError("hypothesis text contains '|||'", lineno)
+        if "\n" in text or "\r" in text:
+            raise FormatError("hypothesis text contains a line break", lineno)
         cur = len(lists) - 1
         if sid == cur + 1:
             lists.append([])

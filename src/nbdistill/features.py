@@ -40,7 +40,7 @@ from .metrics import (
     _ngram_counts,
     _ngrams,
     corpus_bleu,
-    tokenize_13a,
+    tokenize_many,
 )
 
 NATIVE_FEATURES = ("mbr_bleu", "mbr_chrf", "len", "len_ratio")
@@ -68,7 +68,7 @@ class FeatureMatrix:
 
     def best_rows(self, w: np.ndarray) -> Tuple[int, ...]:
         """Per list, the index of the first row with the highest ``rows @ w``."""
-        return tuple(int(np.argmax(rows @ w)) for rows in self.values)
+        return tuple(int((rows @ w).argmax()) for rows in self.values)
 
     def validate_against(self, corpus: NBestCorpus) -> None:
         if self.num_sentences != corpus.num_sentences:
@@ -116,7 +116,7 @@ def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[fl
         raise ValueError("empty hypothesis list")
     n = len(texts)
     if utility == "sentence_bleu":
-        toks = [tokenize_13a(t) for t in texts]
+        toks = tokenize_many(texts)
         lens = [len(t) for t in toks]
         overlaps = _pairwise_overlaps(toks, _ngrams, NGRAM_ORDER)
 
@@ -145,7 +145,8 @@ def length_features(texts: Sequence[str]) -> Tuple[List[float], List[float]]:
     """13a token counts and their ratio to the list's mean count."""
     if not texts:
         raise ValueError("empty hypothesis list")
-    lengths = {t: float(len(tokenize_13a(t))) for t in dict.fromkeys(texts)}
+    distinct = list(dict.fromkeys(texts))
+    lengths = {t: float(len(toks)) for t, toks in zip(distinct, tokenize_many(distinct))}
     counts = [lengths[t] for t in texts]
     mean = sum(counts) / len(counts)
     ratios = [c / mean if mean > 0 else 1.0 for c in counts]

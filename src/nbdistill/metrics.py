@@ -13,9 +13,13 @@ runs collapsed to single spaces, F-score with beta=2, no word n-grams.
 All functions are pure.  ``hyp_stats`` tabulates the statistics of every
 n-best hypothesis once, so corpus BLEU of any selection is an integer sum over
 that table; ``corpus_stats`` is the sum over the table of a one-best stream.
+``tokenize_many`` runs each 13a rule once over a whole group of texts, and
+``tokenize_13a`` is its one-text case.
 
-N-grams are counted in one place, ``_ngram_counts``; BLEU clipping, chrF and
-the MBR overlaps of ``features`` are min-and-sums over its count matrices.
+BLEU clipping has one implementation, ``_block_stats``, behind ``hyp_stats``
+and ``sentence_stats``: int64 n-gram keys, counted and clipped by sorting.
+chrF and the MBR overlaps of ``features`` are min-and-sums over the count
+matrices of ``_ngram_counts``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -42,10 +47,13 @@ _13A_RULES = (
     (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
     (re.compile(r"([0-9])(-)"), r"\1 \2 "),
 )
+# Sentences per block of ``hyp_stats``.  A block's n-gram keys are sorted
+# together, so the block size bounds their memory: about 70 kB per sentence
+# of 16 hypotheses and 2 references.  Blocks of 32 to 256 ran equally fast.
+_BLOCK_SENTENCES = 64
 
 
-def tokenize_13a(text: str) -> List[str]:
-    """Tokenize one segment with the 13a rule set; empty input gives []."""
+def _normalize(text: str) -> str:
     norm = text.replace("<skipped>", "")
     norm = norm.replace("-\n", "")
     norm = norm.replace("\n", " ")
@@ -54,10 +62,30 @@ def tokenize_13a(text: str) -> List[str]:
         norm = norm.replace("&amp;", "&")
         norm = norm.replace("&lt;", "<")
         norm = norm.replace("&gt;", ">")
-    norm = f" {norm} "
+    return norm
+
+
+def tokenize_many(texts: Iterable[str]) -> List[List[str]]:
+    """Tokenize each text with the 13a rule set, one substitution per rule
+    for all of them.
+
+    Each text is normalised on its own, which removes its newlines, and
+    padded with a space on each side; the padded texts are joined with
+    newlines.  No rule matches a newline next to a space, so no match crosses
+    from one text into the next, and each text gets exactly its own tokens.
+    """
+    padded = [f" {_normalize(t)} " for t in texts]
+    if not padded:
+        return []
+    joined = "\n".join(padded)
     for pattern, repl in _13A_RULES:
-        norm = pattern.sub(repl, norm)
-    return norm.split()
+        joined = pattern.sub(repl, joined)
+    return [line.split() for line in joined.split("\n")]
+
+
+def tokenize_13a(text: str) -> List[str]:
+    """Tokenize one segment with the 13a rule set; empty input gives []."""
+    return tokenize_many([text])[0]
 
 
 @dataclass(frozen=True)
@@ -105,25 +133,77 @@ def _by_order(texts: Sequence, grams_of: Callable, orders: int) -> np.ndarray:
     return counts.reshape(orders, len(texts), counts.shape[1])
 
 
-def _list_stats(
-    hyps_tokens: Sequence[Sequence[str]], refs_tokens: Sequence[Sequence[str]]
+def _block_stats(
+    lists: Sequence[Sequence[Sequence[str]]], refs_per_sentence: Sequence[Sequence[Sequence[str]]]
 ) -> np.ndarray:
-    """(n, 10) int64 BLEU statistics of each hypothesis against all the
-    references: clipped matches and n-gram counts of orders 1-4, hyp_len and
-    ref_len, the ``HypStats.stats`` row layout.  A hypothesis n-gram count is
-    clipped by the maximum count of that n-gram over the references."""
-    if not refs_tokens:
+    """(H, 10) int64 BLEU statistics of the H token lists of ``lists``, in
+    order, each against the references of its sentence: clipped matches and
+    n-gram counts of orders 1-4, hyp_len and ref_len, the ``HypStats.stats``
+    row layout.  A hypothesis n-gram count is clipped by the maximum count of
+    that n-gram over the references of its sentence.
+
+    An n-gram is an int64 id: a token's own id for order 1; for order k, the
+    rank of (id of its first k-1 tokens) * V + id of its last token among the
+    keys of order k.  One sort of the (text, n-gram) pairs counts them and
+    one more takes each sentence's reference maxima.
+    """
+    if not all(refs_per_sentence):
         raise ValueError("at least one reference required")
-    n = len(hyps_tokens)
-    counts = _by_order([*hyps_tokens, *refs_tokens], _ngrams, NGRAM_ORDER)
-    hyp, ref_max = counts[:, :n], counts[:, n:].max(axis=1, keepdims=True)
+    texts = [*chain.from_iterable(lists), *chain.from_iterable(refs_per_sentence)]
+    n = sum(map(len, lists))
+    # the sentence of each text: the hypotheses, then the references
+    sentence = np.repeat(np.tile(np.arange(len(lists)), 2),
+                         [*map(len, lists), *map(len, refs_per_sentence)])
+    lens = np.array([len(t) for t in texts], dtype=np.int64)
+    ids = {tok: i for i, tok in enumerate(dict.fromkeys(chain.from_iterable(texts)))}
+    v = len(ids)
+    tokens = np.fromiter(map(ids.__getitem__, chain.from_iterable(texts)), np.int64, lens.sum())
+    owner = np.repeat(np.arange(len(texts)), lens)
+    # the number of tokens after each one in its text: a k-gram starts where
+    # at least k - 1 follow
+    after = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens)) - 1
+    prefix = tokens  # at each position, the id of the k-gram starting there
+    owners, grams, offsets = [owner], [tokens], [0, v]
+    for k in range(1, NGRAM_ORDER):
+        assert (offsets[-1] - offsets[-2]) * v < 2**63, "n-gram key overflows int64"
+        start = np.flatnonzero(after >= k)
+        keys, local = np.unique(prefix[start] * v + tokens[start + k], return_inverse=True)
+        prefix = np.zeros_like(tokens)
+        prefix[start] = local
+        owners.append(owner[start])
+        grams.append(local + offsets[-1])
+        offsets.append(offsets[-1] + len(keys))
+    total = max(offsets[-1], 1)
+    assert len(texts) * total < 2**63, "(text, n-gram) key overflows int64"
+    pairs, counts = np.unique(np.concatenate(owners) * total + np.concatenate(grams),
+                              return_counts=True)
+    text, gram = np.divmod(pairs, total)
+    key = sentence[text] * total + gram  # (sentence, n-gram) of each pair
+    split = np.searchsorted(text, n)  # the hypotheses' pairs come first
+    by_key = np.lexsort((counts[split:], key[split:]))
+    ref_key, ref_count = key[split:][by_key], counts[split:][by_key]
+    last = ref_key != np.append(ref_key[1:], -1)  # the last pair of each key
+    # a key above every pair's ends the table, so each lookup lands on an entry
+    table_key = np.append(ref_key[last], len(lists) * total)
+    table_max = np.append(ref_count[last], 0)
+    at = np.searchsorted(table_key, key[:split])
+    ref_max = np.where(table_key[at] == key[:split], table_max[at], 0)
+    clipped = np.minimum(counts[:split], ref_max)
+    order = np.searchsorted(offsets, gram[:split], side="right") - 1
     out = np.empty((n, 10), dtype=np.int64)
-    out[:, 0:4] = np.minimum(hyp, ref_max).sum(axis=2).T
-    out[:, 4:8] = hyp.sum(axis=2).T
-    # ascending, so min keeps the shorter of two equally close lengths
-    ref_lens = sorted(len(r) for r in refs_tokens)
-    out[:, 8] = [len(h) for h in hyps_tokens]
-    out[:, 9] = [min(ref_lens, key=lambda rl: abs(rl - len(h))) for h in hyps_tokens]
+    # float sums of integers far below 2**53 are exact
+    out[:, 0:4] = np.bincount(
+        text[:split] * NGRAM_ORDER + order, weights=clipped, minlength=n * NGRAM_ORDER
+    ).reshape(n, NGRAM_ORDER)
+    out[:, 4:8] = np.maximum(lens[:n, None] - np.arange(NGRAM_ORDER), 0)
+    out[:, 8] = lens[:n]
+    # ascending and padded with a length no hypothesis is near, so argmin
+    # keeps the shorter of two equally close reference lengths
+    ref_lens = [sorted(map(len, refs)) for refs in refs_per_sentence]
+    width, far = max(map(len, ref_lens)), np.iinfo(np.int64).max
+    padded = np.array([r + [far] * (width - len(r)) for r in ref_lens], dtype=np.int64)
+    closest = padded[sentence[:n]]
+    out[:, 9] = closest[np.arange(n), np.abs(closest - lens[:n, None]).argmin(axis=1)]
     return out
 
 
@@ -140,7 +220,7 @@ def sentence_stats(
     n-gram across all references.  ref_len is the reference length closest
     to the hypothesis length; ties resolve to the shorter reference.
     """
-    return _as_stats(_list_stats([hyp_tokens], refs_tokens)[0].tolist())
+    return _as_stats(_block_stats([[hyp_tokens]], [refs_tokens])[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,22 +257,33 @@ def hyp_stats(
 ) -> HypStats:
     """Tabulate every hypothesis text of every list against its references.
 
-    The references of a sentence are tokenized and counted once, and each
-    distinct text of a list is tokenized and clipped once.
+    Sentences go in blocks of ``_BLOCK_SENTENCES``: the distinct texts of a
+    block are tokenized together, and each distinct text of a list is counted
+    and clipped once.
     """
     covered, sentences = len(refs_per_sentence), len(lists)
     if covered != sentences:
         raise ValueError(f"references cover {covered} sentences, corpus has {sentences}")
-    n_max = max((len(texts) for texts in lists), default=0)
+    lengths = np.array([len(texts) for texts in lists], dtype=np.int64)
+    n_max = int(lengths.max(initial=0))
     stats = np.zeros((len(lists), n_max, 10), dtype=np.int64)
-    valid = np.zeros((len(lists), n_max), dtype=bool)
-    for sid, (texts, refs) in enumerate(zip(lists, refs_per_sentence)):
-        index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
-        rows = _list_stats([tokenize_13a(t) for t in index], [tokenize_13a(r) for r in refs])
-        picks = [index[t] for t in texts]
-        n = len(texts)
-        stats[sid, :n] = rows[picks]
-        valid[sid, :n] = True
+    valid = np.arange(n_max) < lengths[:, None]
+    for first in range(0, len(lists), _BLOCK_SENTENCES):
+        block = slice(first, first + _BLOCK_SENTENCES)
+        distinct = [dict.fromkeys(texts) for texts in lists[block]]
+        refs = refs_per_sentence[block]
+        unique = list(dict.fromkeys(chain(*distinct, *refs)))
+        tokens = dict(zip(unique, tokenize_many(unique)))
+        rows = _block_stats(
+            [[tokens[t] for t in texts] for texts in distinct],
+            [[tokens[r] for r in sent] for sent in refs],
+        )
+        picks, base = [], 0
+        for texts, unique_texts in zip(lists[block], distinct):
+            index = {t: base + k for k, t in enumerate(unique_texts)}
+            picks.extend(index[t] for t in texts)
+            base += len(index)
+        stats[block][valid[block]] = rows[picks]
     return HypStats(stats, valid)
 
 

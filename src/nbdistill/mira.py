@@ -88,7 +88,7 @@ def _init_array(config: MiraConfig, names: Sequence[str]) -> np.ndarray:
 
 def hope_fear(model_scores: np.ndarray, gains: np.ndarray) -> Tuple[int, int]:
     """Indices of the hope and fear hypotheses; ties go to the lowest rank."""
-    return int(np.argmax(model_scores + gains)), int(np.argmax(model_scores - gains))
+    return int((model_scores + gains).argmax()), int((model_scores - gains).argmax())
 
 
 def _update_on_sentence(

@@ -245,6 +245,10 @@ def ledger_path(workdir: str | Path) -> Path:
     return Path(workdir) / LEDGER_NAME
 
 
+# the JSON values each IterationState field accepts; a boolean is no number
+_LEDGER_TYPES = {"int": int, "float": (float, int), "str": str}
+
+
 def read_ledger(path: str | Path) -> List[IterationState]:
     p = Path(path)
     if not p.exists():
@@ -259,7 +263,12 @@ def read_ledger(path: str | Path) -> List[IterationState]:
                 if isinstance(obj, dict):
                     # earlier versions recorded hook exit statuses, always 0
                     obj.pop("hook_statuses", None)
-                states.append(IterationState(**obj))
+                state = IterationState(**obj)
+                for f in fields(state):
+                    value = getattr(state, f.name)
+                    if isinstance(value, bool) or not isinstance(value, _LEDGER_TYPES[f.type]):
+                        raise TypeError(f"{f.name} must be {f.type}, got {json.dumps(value)}")
+                states.append(state)
             except (json.JSONDecodeError, TypeError) as exc:
                 raise ValueError(f"{p}: bad ledger entry on line {lineno}: {exc}") from None
     for i, state in enumerate(states, 1):

@@ -62,6 +62,12 @@ class TestLoadNBest:
         with pytest.raises(FormatError, match=r"\|\|\|"):
             load_nbest(["0 ||| a|||b |||  ||| 1.0"])
 
+    @pytest.mark.parametrize("text", ["a\rb", "a\nb"])
+    def test_line_break_inside_text_is_a_line_numbered_error(self, text):
+        with pytest.raises(FormatError, match="line break") as err:
+            load_nbest(["0 ||| a ||| lm= 1 ||| 0.0", f"0 ||| {text} |||  ||| 0.0"])
+        assert err.value.line == 2
+
     def test_duplicate_texts_are_kept(self):
         corpus = load_nbest(["0 ||| same |||  ||| 2.0", "0 ||| same |||  ||| 1.0"])
         assert corpus.texts[0] == ("same", "same")

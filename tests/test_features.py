@@ -14,7 +14,7 @@ from nbdistill.features import (
     passthrough_features,
     write_matrix,
 )
-from nbdistill.metrics import sentence_bleu, sentence_chrf, tokenize_13a
+from nbdistill.metrics import sentence_bleu, sentence_chrf, tokenize_13a, tokenize_many
 from oracles import bf_mbr_utilities, bf_sentence_bleu
 from reference_mbr import reference_mbr_utility
 from strategies import hypothesis_lists
@@ -112,11 +112,11 @@ class TestLengthFeatures:
         texts = ["a b", "c d e", "a b", "f", "c d e", "a b"]
         seen = []
 
-        def counting(text):
-            seen.append(text)
-            return tokenize_13a(text)
+        def counting(group):
+            seen.extend(group)
+            return tokenize_many(group)
 
-        monkeypatch.setattr("nbdistill.features.tokenize_13a", counting)
+        monkeypatch.setattr("nbdistill.features.tokenize_many", counting)
         counts, ratios = length_features(texts)
         assert sorted(seen) == sorted(set(texts))
         per_text = [float(len(tokenize_13a(t))) for t in texts]

@@ -1,10 +1,13 @@
 import math
+import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbdistill.metrics import (
+    _BLOCK_SENTENCES,
     NGramStats,
     corpus_bleu,
     corpus_chrf,
@@ -14,6 +17,7 @@ from nbdistill.metrics import (
     sentence_chrf,
     sentence_stats,
     tokenize_13a,
+    tokenize_many,
 )
 from oracles import (
     bf_bleu_from_stats,
@@ -30,7 +34,7 @@ from reference_stats import (
     reference_tokenize_13a,
     reference_total,
 )
-from strategies import TEXTS, hypothesis_lists
+from strategies import FRAGMENTS, TEXTS, hypothesis_lists
 from synth import make_corpus
 
 DATA = Path(__file__).parent / "data"
@@ -40,6 +44,11 @@ _WORDS = st.lists(st.sampled_from(["a", "b", "cat", "the"]), max_size=8).map(" "
 _REFS = st.lists(st.one_of(TEXTS, _WORDS), min_size=1, max_size=3)
 # text over the characters the 13a rules and the normalisation act on
 _HOSTILE = st.text(" \t\n-&;.,:!?()'\"<>/@[]{}0123456789aé")
+# text with the separators that str.split() splits on and "\n" does not match,
+# and with '-' and '.' at either end
+_EDGES = st.lists(
+    st.sampled_from((*FRAGMENTS, "\x1c", "\u2028", "\r", "\x85", "-\n", "...")), max_size=10
+).map("".join)
 
 
 @st.composite
@@ -71,6 +80,15 @@ class TestTokenizer13a:
         assert len(inputs) == len(expected) == 200
         for line, want in zip(inputs, expected):
             assert " ".join(tokenize_13a(line)) == want
+
+
+class TestTokenizeMany:
+    @settings(max_examples=500)
+    @given(st.lists(st.one_of(TEXTS, _HOSTILE, _EDGES, st.text()), max_size=6))
+    @example([])
+    @example(["-a.", ".b-", "", "&amp;&lt;&quot;", "<skipped>x-\ny\n", "\x1c\u2028", "1.", ".5"])
+    def test_equal_to_frozen_rule_set_per_text(self, texts):
+        assert tokenize_many(texts) == [reference_tokenize_13a(t) for t in texts]
 
 
 class TestSentenceStats:
@@ -199,6 +217,35 @@ class TestHypStats:
         total = reference_total(want_stats[sid][pick] for sid, pick in enumerate(picks))
         assert repr(table.bleu(picks)) == repr(corpus_bleu(total))
 
+    @staticmethod
+    def assert_equal_to_reference(lists, refs):
+        table = hyp_stats(lists, refs)
+        want_stats, want_gains = reference_hyp_stats(lists, refs)
+        for sid, texts in enumerate(lists):
+            n = len(texts)
+            got = [
+                NGramStats(tuple(r[0:4]), tuple(r[4:8]), r[8], r[9])
+                for r in table.stats[sid, :n].tolist()
+            ]
+            assert repr(got) == repr(want_stats[sid])
+            assert repr(table.gains[sid, :n].tolist()) == repr(want_gains[sid])
+            assert table.valid[sid].sum() == n
+            assert not table.stats[sid, n:].any()
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 3), corpora())
+    def test_block_edges_equal_to_per_hypothesis_loop(self, block, case):
+        lists, refs, _ = case
+        with mock.patch("nbdistill.metrics._BLOCK_SENTENCES", block):
+            self.assert_equal_to_reference(lists, refs)
+
+    def test_corpus_longer_than_two_blocks(self):
+        rng = random.Random(11)
+        _, refs, hyps = make_corpus(2 * _BLOCK_SENTENCES + 5, 6, seed=11, num_refs=3)
+        lists = [h[: rng.randint(1, 6)] + h[:1] for h in hyps]  # ragged, with duplicates
+        refs = [r[: rng.randint(1, 3)] for r in refs]
+        self.assert_equal_to_reference(lists, refs)
+
     def test_reference_lists_must_match(self):
         with pytest.raises(ValueError):
             hyp_stats([["a"], ["b"]], [["a"]])
@@ -225,6 +272,7 @@ class TestHypStats:
             raise AssertionError("tokenized before the coverage check")
 
         monkeypatch.setattr("nbdistill.metrics.tokenize_13a", refuse)
+        monkeypatch.setattr("nbdistill.metrics.tokenize_many", refuse)
         message = f"references cover {len(refs)} sentences, corpus has 2"
         with pytest.raises(ValueError, match=f"^{message}$"):
             score(hyps, iter(refs) if score is corpus_stats else refs)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -547,6 +548,15 @@ class TestStatus:
 
 
 class TestLedgerValidation:
+    ENTRY = {
+        "iter": 1,
+        "dev_bleu": 1.5,
+        "weights_path": "w",
+        "labels_path": "l",
+        "started": "t0",
+        "finished": "t1",
+    }
+
     def test_rejects_non_contiguous_indices(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         entry = json.dumps(
@@ -582,6 +592,27 @@ class TestLedgerValidation:
         ledger.write_text("{not json\n")
         with pytest.raises(ValueError, match="bad ledger entry"):
             read_ledger(ledger)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dev_bleu", None), ("dev_bleu", "x"), ("dev_bleu", True), ("iter", 1.0),
+         ("started", 0)],
+    )
+    def test_rejects_a_field_of_the_wrong_type(self, tmp_path, capsys, field, value):
+        entry = json.dumps(self.ENTRY)
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(entry + "\n" + json.dumps({**self.ENTRY, field: value}) + "\n")
+        message = f"{ledger}: bad ledger entry on line 2: {field} must be"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            read_ledger(ledger)
+        assert cli_main(["status", "--workdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_accepts_an_integer_dev_bleu(self, tmp_path):
+        entry = {**self.ENTRY, "dev_bleu": 20}
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(json.dumps(entry) + "\n")
+        assert read_ledger(ledger) == [IterationState(**entry)]
 
 
 class TestSelfTrainCli:
