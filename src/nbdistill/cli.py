@@ -12,7 +12,7 @@ import sys
 
 from . import metrics
 from .corpus import (
-    LABEL_SUFFIXES, load_file, load_nbest, load_reference_files, load_sources,
+    LABEL_SUFFIXES, load_file, load_nbest, load_reference_files, load_sources, read_fields,
     write_pseudo_labels, write_text,
 )
 from .distill import kd_top1, ki_select
@@ -39,7 +39,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = [line.rstrip("\n") for line in load_file(args.hyp, list)]
+    hyps = load_file(args.hyp, lambda stream: [line for _, (line,) in read_fields(stream)])
     ref_files = split_names(args.refs)
     refs = load_reference_files(ref_files).refs
     if len(refs) != len(hyps):

@@ -16,6 +16,11 @@ File formats (all UTF-8, ``\\n`` line endings):
 * pseudo-label output: aligned ``.src``/``.tgt`` files, or a two-column
   ``SOURCE<TAB>TARGET`` TSV.
 
+Every loader reads its lines through ``read_fields``.  A malformed line raises
+a ``FormatError`` whose ``line`` is its 1-based number; invalid UTF-8 in an
+open file also names the file.  Only errors about the whole stream (an empty
+n-best list, reference streams of different lengths) have no line.
+
 Text is carried verbatim (no unicode normalization); everything loaded here
 is immutable after construction and safe to share across workers.
 """
@@ -26,7 +31,7 @@ import math
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
 SEP = " ||| "
 
@@ -156,6 +161,57 @@ def _parse_scores(fld: str, lineno: int) -> Dict[str, float]:
     return scores
 
 
+def read_fields(
+    stream: Iterable[str], sep: str | None = None, columns: int | None = None,
+    start: int = 1, comment: str | None = None, name: str | None = None,
+) -> Iterator[Tuple[int, List[str]]]:
+    """Yield ``(line number, fields)`` for each line of ``stream``, numbered
+    from ``start``: the line without its ``\\n``, split at ``sep`` (one field
+    when ``sep`` is None).  Given a ``comment`` prefix, empty lines and lines
+    that start with it are skipped.  A line without ``columns`` fields, a
+    blank line in a stream with a ``name``, and an open file that is not UTF-8
+    raise a FormatError with the line number.
+    """
+    try:
+        for lineno, raw in enumerate(stream, start):
+            line = raw.rstrip("\n")
+            if comment and (not line or line.startswith(comment)):
+                continue
+            if name and not line.strip():
+                raise FormatError(f"empty line in {name} stream", lineno)
+            fields = line.split(sep) if sep else [line]
+            if columns is not None and len(fields) != columns:
+                raise FormatError(
+                    f"expected {columns} columns separated by {sep!r}, got {len(fields)}", lineno
+                )
+            yield lineno, fields
+    except UnicodeDecodeError:
+        if not hasattr(stream, "name"):
+            raise
+        # text-mode decoding reads ahead in chunks, so find the line in the bytes
+        with open(stream.name, "rb") as f:
+            lines = f.read().splitlines()
+        for lineno, raw in enumerate(lines, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"invalid UTF-8 in {stream.name!r}: {exc.reason}", lineno) from None
+        raise
+
+
+def _sentence_list(lists: List[list], sid: int, lineno: int) -> list:
+    """The list that a line of sentence ``sid`` extends, opened when ``sid``
+    is the next id: ids run dense and non-decreasing from 0."""
+    last = len(lists) - 1
+    if sid == last + 1:
+        lists.append([])
+    elif sid > last:
+        raise FormatError(f"non-dense sentence ids: jump from {last} to {sid}", lineno)
+    elif sid < last or sid < 0:
+        raise FormatError(f"sentence id {sid} after {last}: ids must be non-decreasing", lineno)
+    return lists[sid]
+
+
 def load_nbest(stream: Iterable[str]) -> NBestCorpus:
     """Parse a Moses-convention n-best stream into an NBestCorpus.
 
@@ -164,33 +220,18 @@ def load_nbest(stream: Iterable[str]) -> NBestCorpus:
     decreasing or non-dense sentence ids, or an empty stream.
     """
     lists: List[List[Tuple[str, Dict[str, float], float]]] = []
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n")
-        fields = line.split(SEP)
-        if len(fields) != 4:
-            raise FormatError(
-                f"expected 4 ' ||| '-separated fields, got {len(fields)}", lineno
-            )
-        sid_str, text, score_fld, total_str = fields
+    for lineno, (sid_str, text, score_fld, total_str) in read_fields(stream, SEP, 4):
         try:
             sid = int(sid_str)
         except ValueError:
             raise FormatError(f"bad sentence id {sid_str!r}", lineno) from None
-        if sid < 0:
-            raise FormatError(f"negative sentence id {sid}", lineno)
+        hyps = _sentence_list(lists, sid, lineno)
         if "|||" in text:
             raise FormatError("hypothesis text contains '|||'", lineno)
         if "\n" in text or "\r" in text:
             raise FormatError("hypothesis text contains a line break", lineno)
-        cur = len(lists) - 1
-        if sid == cur + 1:
-            lists.append([])
-        elif sid < cur:
-            raise FormatError(f"sentence id {sid} after {cur}: ids must be non-decreasing", lineno)
-        elif sid > cur + 1:
-            raise FormatError(f"non-dense sentence ids: jump from {cur} to {sid}", lineno)
         scores = _parse_scores(score_fld, lineno)
-        lists[sid].append((text, scores, _parse_float(total_str, lineno, "total")))
+        hyps.append((text, scores, _parse_float(total_str, lineno, "total")))
     if not lists:
         raise FormatError("no sentences")
     # each list's (text, scores, total) rows, transposed into the three columns
@@ -229,11 +270,7 @@ def write_nbest(corpus: NBestCorpus, out: TextIO) -> None:
 def load_scores(stream: Iterable[str], feature_name: str) -> ExternalScoreTable:
     """Parse a ``SID<TAB>RANK<TAB>SCORE`` stream (order-insensitive)."""
     scores: Dict[Tuple[int, int], float] = {}
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n")
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError("expected SID<TAB>RANK<TAB>SCORE", lineno)
+    for lineno, parts in read_fields(stream, "\t", 3):
         try:
             sid = int(parts[0])
             rank = int(parts[1])
@@ -251,14 +288,6 @@ def load_scores(stream: Iterable[str], feature_name: str) -> ExternalScoreTable:
     return ExternalScoreTable(feature_name, scores)
 
 
-def _read_lines(stream: Iterable[str], name: str) -> List[str]:
-    lines = [raw.rstrip("\n") for raw in stream]
-    for i, line in enumerate(lines):
-        if not line.strip():
-            raise FormatError(f"empty line in {name} stream", i + 1)
-    return lines
-
-
 def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
     """Zip one or more aligned reference streams into a multi-reference set.
 
@@ -268,7 +297,7 @@ def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
     if not streams:
         raise ValueError("at least one reference stream required")
     names = [f"reference {getattr(s, 'name', i)!r}" for i, s in enumerate(streams)]
-    columns = [_read_lines(s, name) for s, name in zip(streams, names)]
+    columns = [[line for _, (line,) in read_fields(s, name=n)] for s, n in zip(streams, names)]
     if len({len(c) for c in columns}) > 1:
         counts = ", ".join(f"{name}: {len(c)}" for name, c in zip(names, columns))
         raise FormatError(
@@ -284,7 +313,7 @@ def load_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
 
 
 def load_sources(stream: Iterable[str]) -> SourceCorpus:
-    return SourceCorpus(tuple(_read_lines(stream, "source")))
+    return SourceCorpus(tuple(line for _, (line,) in read_fields(stream, name="source")))
 
 
 # The files of each pseudo-label format, as suffixes of the output prefix; the

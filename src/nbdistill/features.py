@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import ExternalScoreTable, FormatError, NBestCorpus
+from .corpus import ExternalScoreTable, FormatError, NBestCorpus, _sentence_list, read_fields
 from .metrics import (
     CHRF_CHAR_ORDER,
     NGRAM_ORDER,
@@ -235,24 +235,17 @@ def write_matrix(matrix: FeatureMatrix, out: TextIO) -> None:
 
 def load_matrix(stream: Iterable[str]) -> FeatureMatrix:
     """Read a matrix TSV back; the exact dual of write_matrix."""
-    it = iter(stream)
-    try:
-        header = next(it).rstrip("\n")
-    except StopIteration:
-        raise FormatError("empty matrix file") from None
-    parts = header.split("\t")
-    if parts[0] != "#features" or len(parts) < 2:
+    lines = iter(stream)
+    _, header = next(read_fields(lines, "\t"), (None, None))
+    if header is None:
+        raise FormatError("empty matrix file")
+    if header[0] != "#features" or len(header) < 2:
         raise FormatError("matrix file must start with a '#features' header", 1)
-    names = tuple(parts[1:])
+    names = tuple(header[1:])
     if len(set(names)) != len(names):
         raise FormatError("duplicate feature name in header", 1)
     rows: List[List[List[float]]] = []
-    for lineno, raw in enumerate(it, 2):
-        fields = raw.rstrip("\n").split("\t")
-        if len(fields) != 2 + len(names):
-            raise FormatError(
-                f"expected {2 + len(names)} columns, got {len(fields)}", lineno
-            )
+    for lineno, fields in read_fields(lines, "\t", 2 + len(names), start=2):
         try:
             sid = int(fields[0])
             rank = int(fields[1])
@@ -261,15 +254,10 @@ def load_matrix(stream: Iterable[str]) -> FeatureMatrix:
             raise FormatError("unparseable matrix row", lineno) from None
         if not all(map(math.isfinite, vals)):
             raise FormatError("non-finite feature value", lineno)
-        if sid == len(rows):
-            rows.append([])
-        elif sid != len(rows) - 1 or sid < 0:
-            raise FormatError("sentence ids must be dense and non-decreasing", lineno)
-        if rank != len(rows[sid]):
-            raise FormatError(
-                f"rank {rank} out of order (expected {len(rows[sid])})", lineno
-            )
-        rows[sid].append(vals)
+        hyps = _sentence_list(rows, sid, lineno)
+        if rank != len(hyps):
+            raise FormatError(f"rank {rank} out of order (expected {len(hyps)})", lineno)
+        hyps.append(vals)
     if not rows:
         raise FormatError("matrix has no rows")
     return FeatureMatrix(names, tuple(np.array(sent, dtype=np.float64) for sent in rows))

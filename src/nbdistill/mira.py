@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float
+from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, read_fields
 from .features import FeatureMatrix
 from .metrics import hyp_stats
 
@@ -173,18 +173,14 @@ def write_weights(
 
 
 def load_weights(stream: Iterable[str]) -> WeightVector:
-    names: List[str] = []
-    values: List[float] = []
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError("expected NAME<TAB>WEIGHT", lineno)
-        value = _parse_float(parts[1], lineno, "weight")
+    weights: Dict[str, float] = {}
+    for lineno, (name, token) in read_fields(stream, "\t", 2, comment="#"):
+        value = _parse_float(token, lineno, "weight")
         if not math.isfinite(value):
-            raise FormatError(f"non-finite weight {parts[1]!r}", lineno)
-        names.append(parts[0])
-        values.append(value)
-    return WeightVector(tuple(names), tuple(values))
+            raise FormatError(f"non-finite weight {token!r}", lineno)
+        if name in weights:
+            raise FormatError(f"duplicate feature name {name!r}", lineno)
+        weights[name] = value
+    if not weights:
+        raise FormatError("no weights")
+    return WeightVector(tuple(weights), tuple(weights.values()))

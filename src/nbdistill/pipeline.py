@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import shlex
 import shutil
@@ -45,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .corpus import (
     LABEL_SUFFIXES,
+    FormatError,
     NBestCorpus,
     label_paths,
     load_file,
@@ -53,6 +55,7 @@ from .corpus import (
     load_scores,
     load_sources,
     open_out,
+    read_fields,
     write_pseudo_labels,
     write_text,
 )
@@ -254,8 +257,8 @@ def read_ledger(path: str | Path) -> List[IterationState]:
     if not p.exists():
         return []
     states = []
-    with open(p, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
+    with open(p, encoding="utf-8") as stream:
+        for lineno, (line,) in read_fields(stream):
             if not line.strip():
                 continue
             try:
@@ -268,12 +271,16 @@ def read_ledger(path: str | Path) -> List[IterationState]:
                     value = getattr(state, f.name)
                     if isinstance(value, bool) or not isinstance(value, _LEDGER_TYPES[f.type]):
                         raise TypeError(f"{f.name} must be {f.type}, got {json.dumps(value)}")
+                if not math.isfinite(state.dev_bleu):  # OverflowError for a huge integer
+                    raise ValueError(f"dev_bleu must be finite, got {json.dumps(state.dev_bleu)}")
                 states.append(state)
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ValueError(f"{p}: bad ledger entry on line {lineno}: {exc}") from None
+            except (OverflowError, TypeError, ValueError) as exc:
+                error = FormatError(f"{p}: bad ledger entry on line {lineno}: {exc}")
+                error.line = lineno
+                raise error from None
     for i, state in enumerate(states, 1):
         if state.iter != i:
-            raise ValueError(f"{p}: ledger iteration indices are not 1..{len(states)}")
+            raise FormatError(f"{p}: ledger iteration indices are not 1..{len(states)}")
     return states
 
 

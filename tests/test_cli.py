@@ -102,6 +102,13 @@ class TestEvaluate:
         assert (code, out) == (1, "")
         assert f"line 3: empty line in reference {str(blank)!r} stream" in err
 
+    def test_invalid_utf8_hypothesis_names_its_file_and_line(self, workspace, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"one\ntwo\xff\n")
+        code, out, err = run(capsys, "evaluate", "--hyp", bad, "--refs", workspace / "ref0.txt")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 2: invalid UTF-8 in {str(bad)!r}: invalid start byte\n"
+
     @pytest.mark.parametrize(
         "metric, want",
         [

@@ -8,6 +8,7 @@ from nbdistill.corpus import (
     FormatError,
     NBestCorpus,
     SourceCorpus,
+    load_file,
     load_nbest,
     load_reference_files,
     load_references,
@@ -17,6 +18,8 @@ from nbdistill.corpus import (
     write_pseudo_labels,
 )
 from nbdistill.features import load_matrix
+from nbdistill.mira import load_weights
+from nbdistill.pipeline import read_ledger
 
 
 class TestLoadNBest:
@@ -153,20 +156,44 @@ class TestRoundTrip:
         assert buf2.getvalue() == buf.getvalue()
 
 
+LEDGER_LINE = (
+    '{{"iter": 1, "dev_bleu": 1.5, "weights_path": "w", "labels_path": "l", '
+    '"started": {}, "finished": "t1"}}\n'
+)
+
+
 @pytest.mark.parametrize("sid", ["-1", "x"])
 @pytest.mark.parametrize(
     "load, template, line",
     [
-        (load_nbest, "{} ||| a |||  ||| 0.0\n", 1),
-        (lambda stream: load_scores(stream, "lm"), "{}\t0\t1.0\n", 1),
-        (load_matrix, "#features\tf\n{}\t0\t1.0\n", 2),
+        (lambda path: load_file(path, load_nbest), "{} ||| a |||  ||| 0.0\n", 1),
+        (lambda path: load_file(path, load_scores, "lm"), "{}\t0\t1.0\n", 1),
+        (lambda path: load_file(path, load_matrix), "#features\tf\n{}\t0\t1.0\n", 2),
+        # weights and the ledger have no sentence ids: the value goes where it
+        # repeats a weight name, or is no JSON string
+        (lambda path: load_file(path, load_weights), "#c\n{0}\t1.0\n{0}\t2.0\n", 3),
+        (read_ledger, LEDGER_LINE, 1),
     ],
-    ids=["nbest", "scores", "matrix"],
+    ids=["nbest", "scores", "matrix", "weights", "ledger"],
 )
-def test_bad_first_sentence_id_is_a_line_numbered_error(load, template, line, sid):
+def test_bad_first_sentence_id_is_a_line_numbered_error(tmp_path, load, template, line, sid):
+    path = tmp_path / "input"
+    path.write_text(template.format(sid), encoding="utf-8")
     with pytest.raises(FormatError) as err:
-        load(io.StringIO(template.format(sid)))
+        load(path)
     assert err.value.line == line
+
+
+def test_invalid_utf8_names_the_file_and_the_line(tmp_path):
+    # text-mode decoding reads 8 KB chunks ahead, far past line 1500's start
+    lines = [f"{sid} ||| a |||  ||| 0.0\n".encode() for sid in range(2000)]
+    lines[1499] = b"1499 ||| \xff |||  ||| 0.0\n"
+    path = tmp_path / "bad.nbest"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(FormatError) as err:
+        load_file(path, load_nbest)
+    assert err.value.line == 1500
+    assert str(err.value) == f"line 1500: invalid UTF-8 in {str(path)!r}: invalid start byte"
 
 
 class TestLoadScores:

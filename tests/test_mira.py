@@ -221,6 +221,18 @@ class TestWeightsIO:
             load_weights(io.StringIO(text))
         assert exc.value.line == 3
 
+    def test_repeated_name_names_its_line(self):
+        with pytest.raises(FormatError, match=r"^line 3: duplicate feature name 'a'") as exc:
+            load_weights(io.StringIO("a\t0.5\n#comment\na\t1.5\n"))
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n#best_epoch\t0\t#tune_bleu\t0.0000\n"], ids=["empty", "comment"]
+    )
+    def test_a_file_without_weights_is_an_error(self, text):
+        with pytest.raises(FormatError, match="^no weights$"):
+            load_weights(io.StringIO(text))
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_weight_names_its_line(self, weight):
         text = f"a\t0.5\nb\t{weight}\n"

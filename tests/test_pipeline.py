@@ -7,7 +7,7 @@ import pytest
 
 from nbdistill.cli import main as cli_main
 from nbdistill.metrics import corpus_bleu, corpus_stats
-from nbdistill.corpus import LABEL_SUFFIXES
+from nbdistill.corpus import LABEL_SUFFIXES, FormatError
 from nbdistill.features import NATIVE_FEATURES
 from nbdistill.mira import INIT_MODES, MiraConfig
 from nbdistill.pipeline import (
@@ -596,7 +596,7 @@ class TestLedgerValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("dev_bleu", None), ("dev_bleu", "x"), ("dev_bleu", True), ("iter", 1.0),
-         ("started", 0)],
+         ("started", 0), ("dev_bleu", float("nan")), ("dev_bleu", float("inf"))],
     )
     def test_rejects_a_field_of_the_wrong_type(self, tmp_path, capsys, field, value):
         entry = json.dumps(self.ENTRY)
@@ -605,6 +605,18 @@ class TestLedgerValidation:
         message = f"{ledger}: bad ledger entry on line 2: {field} must be"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             read_ledger(ledger)
+        assert cli_main(["status", "--workdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("digits", [5000, 400])
+    def test_rejects_an_integer_too_long_to_load(self, tmp_path, capsys, digits):
+        entry = json.dumps(self.ENTRY)
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(entry + "\n" + entry.replace("1.5", "1" * digits) + "\n")
+        message = f"{ledger}: bad ledger entry on line 2: "
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}") as err:
+            read_ledger(ledger)
+        assert err.value.line == 2
         assert cli_main(["status", "--workdir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
