@@ -8,11 +8,23 @@ status.  All file outputs are byte-identical across runs on identical inputs
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# OpenBLAS starts a worker pool when it loads, and no BLAS call here is large
+# enough to use one: load it on one thread unless the caller chose a count.
+# It reads the variable only when it loads, so the variable is removed again
+# and hooks and other child processes inherit the caller's environment.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import metrics
 from .corpus import (
-    LABEL_SUFFIXES, load_file, load_nbest, load_reference_files, load_sources, read_fields,
+    LABEL_SUFFIXES, load_file, load_lines, load_nbest, load_reference_files, load_sources,
     write_pseudo_labels, write_text,
 )
 from .distill import kd_top1, ki_select
@@ -39,7 +51,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = load_file(args.hyp, lambda stream: [line for _, (line,) in read_fields(stream)])
+    hyps = load_lines(args.hyp)
     ref_files = split_names(args.refs)
     refs = load_reference_files(ref_files).refs
     if len(refs) != len(hyps):

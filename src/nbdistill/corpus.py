@@ -18,8 +18,10 @@ File formats (all UTF-8, ``\\n`` line endings):
 
 Every loader reads its lines through ``read_fields``.  A malformed line raises
 a ``FormatError`` whose ``line`` is its 1-based number; invalid UTF-8 in an
-open file also names the file.  Only errors about the whole stream (an empty
-n-best list, reference streams of different lengths) have no line.
+open file also names the file, and ``load_file`` puts the path in front of
+every other error it reads (``PATH: line 7: ...``).  Only errors about the
+whole stream (an empty n-best list, reference streams of different lengths)
+have no line.
 
 Text is carried verbatim (no unicode normalization); everything loaded here
 is immutable after construction and safe to share across workers.
@@ -37,7 +39,10 @@ SEP = " ||| "
 
 
 class FormatError(ValueError):
-    """An input stream violates its file-format contract."""
+    """An input stream violates its file-format contract.  ``line`` is the
+    1-based number of the bad line; ``path`` is set once the message names the file."""
+
+    path: str | None = None
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -195,7 +200,9 @@ def read_fields(
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise FormatError(f"invalid UTF-8 in {stream.name!r}: {exc.reason}", lineno) from None
+                error = FormatError(f"invalid UTF-8 in {stream.name!r}: {exc.reason}", lineno)
+                error.path = stream.name
+                raise error from None
         raise
 
 
@@ -239,9 +246,21 @@ def load_nbest(stream: Iterable[str]) -> NBestCorpus:
 
 
 def load_file(path: str | Path, load: Callable, *args):
-    """``load(stream, *args)`` over the UTF-8 text of ``path``."""
+    """``load(stream, *args)`` over the UTF-8 text of ``path``; a FormatError
+    names the path, so a command that reads several files says which failed."""
     with open(path, encoding="utf-8") as f:
-        return load(f, *args)
+        try:
+            return load(f, *args)
+        except FormatError as exc:
+            if exc.path is None:
+                exc.path = f.name
+                exc.args = (f"{f.name}: {exc}",)
+            raise
+
+
+def load_lines(path: str | Path) -> List[str]:
+    """The lines of the UTF-8 text file ``path``, without their ``\\n``."""
+    return load_file(path, lambda stream: [line for _, (line,) in read_fields(stream)])
 
 
 def open_out(path: str | Path) -> TextIO:

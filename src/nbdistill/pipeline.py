@@ -50,6 +50,7 @@ from .corpus import (
     NBestCorpus,
     label_paths,
     load_file,
+    load_lines,
     load_nbest,
     load_reference_files,
     load_scores,
@@ -141,7 +142,7 @@ class PipelineConfig:
         ``data.test_refs`` are accepted and ignored.
         """
         p = Path(path)
-        text = p.read_text(encoding="utf-8")
+        text = "\n".join(load_lines(p))
         if text.lstrip().startswith("{"):
             sections = json.loads(text)
         else:

@@ -327,6 +327,52 @@ class TestReferenceCoverage:
         assert err.splitlines()[-1] == "error: references cover 5 sentences, corpus has 6"
 
 
+class TestErrorsNameTheFile:
+    """A command that reads several files says which one is malformed."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys, monkeypatch):
+        sources, refs, hyps = make_corpus(4, 2, seed=22)
+        write_lines(tmp_path / "nbest.txt", nbest_lines(hyps))
+        write_lines(tmp_path / "src.txt", sources)
+        write_lines(tmp_path / "ref.txt", [r[0] for r in refs])
+        write_lines(tmp_path / "lm.tsv", [f"{s}\t{r}\t-1.0" for s in range(4) for r in range(2)])
+        write_lines(tmp_path / "weights.tsv", ["#tuned", "total\t1.0"])
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "assemble", "--nbest", "nbest.txt", "--passthrough", "total",
+                         "--out", "matrix.tsv")
+        assert code == 0
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, bad_file, text, message",
+        [
+            ("assemble --nbest nbest.txt --passthrough total --scores lm=lm.tsv --out m.tsv",
+             "lm.tsv", "0\t0\t-1.0\nx\t1\t-1.0\n", "line 2: bad id/rank: 'x', '1'"),
+            ("tune --matrix matrix.tsv --nbest nbest.txt --refs ref.txt --out w.tsv",
+             "matrix.tsv", "#features\ttotal\n0\t0\tx\n", "line 2: unparseable matrix row"),
+            ("rerank --matrix matrix.tsv --nbest nbest.txt --weights weights.tsv --out sel.tsv",
+             "weights.tsv", "#tuned\ntotal\tx\n", "line 2: unparseable weight: 'x'"),
+            ("rerank --matrix matrix.tsv --nbest nbest.txt --weights weights.tsv --out sel.tsv",
+             "weights.tsv", "#tuned\n", "no weights"),
+            ("oracle --nbest nbest.txt --refs ref.txt",
+             "nbest.txt", "0 ||| a |||  ||| 0.0\n0 ||| b |||  ||| x\n",
+             "line 2: unparseable total: 'x'"),
+            ("distill --strategy kd --nbest nbest.txt --src src.txt --out labels",
+             "src.txt", "a\n\nc\nd\n", "line 2: empty line in source stream"),
+            ("distill --strategy rerank --matrix matrix.tsv --nbest nbest.txt "
+             "--weights weights.tsv --src src.txt --out labels",
+             "nbest.txt", "0 ||| a |||  ||| 0.0\n0 ||| b |||  ||| x\n",
+             "line 2: unparseable total: 'x'"),
+        ],
+        ids=["assemble", "tune", "rerank", "no-weights", "oracle", "distill-kd", "distill-rerank"],
+    )
+    def test_error_names_its_file(self, files, capsys, argv, bad_file, text, message):
+        (files / bad_file).write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, *argv.split())
+        assert (code, err) == (1, f"error: {bad_file}: {message}\n")
+
+
 class TestDeterminism:
     def test_cli_outputs_byte_identical_across_runs(self, workspace, capsys):
         suite = TestAssembleTuneRerank()

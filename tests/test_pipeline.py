@@ -248,6 +248,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="data.tune_src"):
             PipelineConfig.from_file(path)
 
+    def test_invalid_utf8_names_the_file_and_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[pipeline]\nworkdir = w\xff\n")
+        message = f"line 2: invalid UTF-8 in {str(path)!r}: invalid start byte"
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(path)
+        assert (str(err.value), err.value.line) == (message, 2)
+        assert cli_main(["selftrain", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_score_hook_rejected_before_execution(self, tmp_path):
         config = minimal_config(tmp_path, external=("lm",))
         with pytest.raises(ValueError, match="missing hook 'score_lm'"):
