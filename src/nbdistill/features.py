@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -34,11 +34,9 @@ from .metrics import (
     CHRF_CHAR_ORDER,
     NGRAM_ORDER,
     NGramStats,
-    _char_ngrams,
     _chrf_from_stats,
     _collapse,
-    _ngram_counts,
-    _ngrams,
+    _overlaps,
     corpus_bleu,
     tokenize_many,
 )
@@ -84,26 +82,6 @@ class FeatureMatrix:
                 )
 
 
-def _pairwise_overlaps(
-    texts: Sequence, grams_of: Callable, orders: int
-) -> List[List[List[int]]]:
-    """Multiset intersection sizes of every pair of texts, per n-gram order.
-
-    ``out[i][j][o]`` is the number of the order ``o + 1`` n-grams
-    (``grams_of(text, o + 1)``) that texts ``i`` and ``j`` share, with
-    multiplicity, so ``out[i][i][o]`` counts all of text ``i``'s.  One
-    ``metrics._ngram_counts`` matrix per order gives a whole row of pairs per
-    vectorised min-and-sum, and integer sums are exact.
-    """
-    n = len(texts)
-    out = np.zeros((n, n, orders), dtype=np.int64)
-    for o in range(orders):
-        counts = _ngram_counts(grams_of(t, o + 1) for t in texts)
-        for i, row in enumerate(counts):
-            out[i, :, o] = np.minimum(row, counts).sum(axis=1)
-    return out.tolist()
-
-
 def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[float]:
     """Consensus utility of each hypothesis against the rest of its list.
 
@@ -118,15 +96,14 @@ def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[fl
     if utility == "sentence_bleu":
         toks = tokenize_many(texts)
         lens = [len(t) for t in toks]
-        overlaps = _pairwise_overlaps(toks, _ngrams, NGRAM_ORDER)
+        overlaps = _overlaps(toks, NGRAM_ORDER)
 
         def pair(i: int, j: int) -> float:
             stats = NGramStats(tuple(overlaps[i][j]), tuple(overlaps[i][i]), lens[i], lens[j])
             return corpus_bleu(stats).value
 
     elif utility == "sentence_chrf":
-        chars = [_collapse(t) for t in texts]
-        overlaps = _pairwise_overlaps(chars, _char_ngrams, CHRF_CHAR_ORDER)
+        overlaps = _overlaps([_collapse(t) for t in texts], CHRF_CHAR_ORDER)
 
         def pair(i: int, j: int) -> float:
             stats = list(zip(overlaps[i][i], overlaps[j][j], overlaps[i][j]))

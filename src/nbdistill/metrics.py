@@ -16,10 +16,10 @@ that table; ``corpus_stats`` is the sum over the table of a one-best stream.
 ``tokenize_many`` runs each 13a rule once over a whole group of texts, and
 ``tokenize_13a`` is its one-text case.
 
-BLEU clipping has one implementation, ``_block_stats``, behind ``hyp_stats``
-and ``sentence_stats``: int64 n-gram keys, counted and clipped by sorting.
-chrF and the MBR overlaps of ``features`` are min-and-sums over the count
-matrices of ``_ngram_counts``.
+Only ``_ngram_ids`` gives n-grams ids, for token and character sequences
+alike.  BLEU clipping (``_block_stats``, behind ``hyp_stats`` and
+``sentence_stats``) sorts them; ``_overlaps`` counts them per order, and chrF
+and the MBR utilities of ``features`` are min-and-sums over its counts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -110,27 +110,55 @@ class ChrFScore:
     value: float
 
 
-def _ngrams(tokens: Sequence[str], order: int):
-    return zip(*(tokens[i:] for i in range(order)))
+def _ngram_ids(texts: Sequence[Sequence], orders: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """The text index and int64 id of every n-gram occurrence of orders
+    1..``orders`` in ``texts`` (sequences of hashable tokens, or strings), and
+    the per-order offsets: order k has the ids ``offsets[k-1]`` to ``offsets[k] - 1``.
+
+    An order-1 id is the token's rank of first appearance; an order-k id is
+    the rank of (id of its first k-1 tokens) * V + id of its last token among
+    the keys of order k, so equal n-grams, and only they, share an id.
+    """
+    lens = np.array([len(t) for t in texts], dtype=np.int64)
+    ids = {tok: i for i, tok in enumerate(dict.fromkeys(chain.from_iterable(texts)))}
+    v = len(ids)
+    tokens = np.fromiter(map(ids.__getitem__, chain.from_iterable(texts)), np.int64, lens.sum())
+    owner = np.repeat(np.arange(len(texts), dtype=np.int64), lens)
+    # the number of tokens after each one in its text: a k-gram starts where
+    # at least k - 1 follow
+    after = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens)) - 1
+    prefix = tokens  # at each position, the id of the k-gram starting there
+    owners, grams, offsets = [owner], [tokens], [0, v]
+    for k in range(1, orders):
+        assert (offsets[-1] - offsets[-2]) * v < 2**63, "n-gram key overflows int64"
+        start = np.flatnonzero(after >= k)
+        keys, local = np.unique(prefix[start] * v + tokens[start + k], return_inverse=True)
+        prefix = np.zeros_like(tokens)
+        prefix[start] = local
+        owners.append(owner[start])
+        grams.append(local + offsets[-1])
+        offsets.append(offsets[-1] + len(keys))
+    return np.concatenate(owners), np.concatenate(grams), offsets
 
 
-def _ngram_counts(grams: Iterable[Iterable]) -> np.ndarray:
-    """(n, V) int64 counts: row ``i`` counts the n-grams that the ``i``-th
-    iterable yields; ids go by first appearance, so an n-gram has one column."""
-    ids: Dict[object, int] = {}
-    per_text = [[ids.setdefault(gram, len(ids)) for gram in text] for text in grams]
-    n, v = len(per_text), len(ids)
-    owner = np.repeat(np.arange(n, dtype=np.int64), [len(c) for c in per_text])
-    cols = np.array([c for text in per_text for c in text], dtype=np.int64)
-    return np.bincount(owner * v + cols, minlength=n * v).reshape(n, v)
+def _overlaps(texts: Sequence[Sequence], orders: int) -> List[List[List[int]]]:
+    """Multiset intersection sizes of every pair of texts, per n-gram order.
 
-
-def _by_order(texts: Sequence, grams_of: Callable, orders: int) -> np.ndarray:
-    """(orders, len(texts), V) counts: ``[o, i]`` counts the n-grams of order
-    ``o + 1`` of text ``i``.  One matrix holds every order, because n-grams of
-    different orders never compare equal."""
-    counts = _ngram_counts(grams_of(t, o) for o in range(1, orders + 1) for t in texts)
-    return counts.reshape(orders, len(texts), counts.shape[1])
+    ``out[i][j][o]`` is the number of the order ``o + 1`` n-grams that texts
+    ``i`` and ``j`` share, with multiplicity, so ``out[i][i][o]`` counts all
+    of text ``i``'s.  One (texts x ids) count matrix per order gives a whole
+    row of pairs per vectorised min-and-sum, and integer sums are exact.
+    """
+    n = len(texts)
+    text, gram, offsets = _ngram_ids(texts, orders)
+    out = np.zeros((n, n, orders), dtype=np.int64)
+    for o in range(orders):
+        lo, v = offsets[o], offsets[o + 1] - offsets[o]
+        keep = (gram >= lo) & (gram < lo + v)
+        counts = np.bincount(text[keep] * v + gram[keep] - lo, minlength=n * v).reshape(n, v)
+        for i, row in enumerate(counts):
+            out[i, :, o] = np.minimum(row, counts).sum(axis=1)
+    return out.tolist()
 
 
 def _block_stats(
@@ -142,10 +170,8 @@ def _block_stats(
     row layout.  A hypothesis n-gram count is clipped by the maximum count of
     that n-gram over the references of its sentence.
 
-    An n-gram is an int64 id: a token's own id for order 1; for order k, the
-    rank of (id of its first k-1 tokens) * V + id of its last token among the
-    keys of order k.  One sort of the (text, n-gram) pairs counts them and
-    one more takes each sentence's reference maxima.
+    The n-gram ids come from ``_ngram_ids``.  One sort of the (text, n-gram)
+    pairs counts them and one more takes each sentence's reference maxima.
     """
     if not all(refs_per_sentence):
         raise ValueError("at least one reference required")
@@ -155,28 +181,10 @@ def _block_stats(
     sentence = np.repeat(np.tile(np.arange(len(lists)), 2),
                          [*map(len, lists), *map(len, refs_per_sentence)])
     lens = np.array([len(t) for t in texts], dtype=np.int64)
-    ids = {tok: i for i, tok in enumerate(dict.fromkeys(chain.from_iterable(texts)))}
-    v = len(ids)
-    tokens = np.fromiter(map(ids.__getitem__, chain.from_iterable(texts)), np.int64, lens.sum())
-    owner = np.repeat(np.arange(len(texts)), lens)
-    # the number of tokens after each one in its text: a k-gram starts where
-    # at least k - 1 follow
-    after = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens)) - 1
-    prefix = tokens  # at each position, the id of the k-gram starting there
-    owners, grams, offsets = [owner], [tokens], [0, v]
-    for k in range(1, NGRAM_ORDER):
-        assert (offsets[-1] - offsets[-2]) * v < 2**63, "n-gram key overflows int64"
-        start = np.flatnonzero(after >= k)
-        keys, local = np.unique(prefix[start] * v + tokens[start + k], return_inverse=True)
-        prefix = np.zeros_like(tokens)
-        prefix[start] = local
-        owners.append(owner[start])
-        grams.append(local + offsets[-1])
-        offsets.append(offsets[-1] + len(keys))
+    owners, grams, offsets = _ngram_ids(texts, NGRAM_ORDER)
     total = max(offsets[-1], 1)
     assert len(texts) * total < 2**63, "(text, n-gram) key overflows int64"
-    pairs, counts = np.unique(np.concatenate(owners) * total + np.concatenate(grams),
-                              return_counts=True)
+    pairs, counts = np.unique(owners * total + grams, return_counts=True)
     text, gram = np.divmod(pairs, total)
     key = sentence[text] * total + gram  # (sentence, n-gram) of each pair
     split = np.searchsorted(text, n)  # the hypotheses' pairs come first
@@ -241,9 +249,9 @@ class HypStats:
     @cached_property
     def gains(self) -> np.ndarray:
         """(S, N_max) float64, scoring each distinct row of ``stats`` once."""
-        rows, inverse = np.unique(self.stats.reshape(-1, 10), axis=0, return_inverse=True)
-        scores = np.array([corpus_bleu(_as_stats(row)).value for row in rows.tolist()])
-        return scores[inverse.reshape(self.valid.shape)]
+        rows = list(map(tuple, self.stats.reshape(-1, 10).tolist()))
+        score = {row: corpus_bleu(_as_stats(row)).value for row in dict.fromkeys(rows)}
+        return np.array([score[row] for row in rows], dtype=np.float64).reshape(self.valid.shape)
 
     def bleu(self, picks: Sequence[int]) -> BleuScore:
         """Corpus BLEU of the selection holding hypothesis ``picks[s]`` of
@@ -342,17 +350,11 @@ def _collapse(s: str) -> str:
     return " ".join(s.split())
 
 
-def _char_ngrams(s: str, order: int):
-    return (s[i : i + order] for i in range(len(s) - order + 1))
-
-
 def _char_ngram_stats(hyp: str, refs: Sequence[str]) -> List[List[Tuple[int, int, int]]]:
     """Per reference, (hyp_total, ref_total, overlap) of each character n-gram
     order 1..6 of the whitespace-collapsed texts."""
-    counts = _by_order([_collapse(t) for t in (hyp, *refs)], _char_ngrams, CHRF_CHAR_ORDER)
-    totals = counts.sum(axis=2).tolist()
-    overlaps = np.minimum(counts[:, :1], counts[:, 1:]).sum(axis=2).tolist()
-    return [[(t[0], t[r + 1], v[r]) for t, v in zip(totals, overlaps)] for r in range(len(refs))]
+    pairs = _overlaps([_collapse(t) for t in (hyp, *refs)], CHRF_CHAR_ORDER)
+    return [list(zip(pairs[0][0], pairs[r][r], pairs[0][r])) for r in range(1, len(refs) + 1)]
 
 
 def _chrf_from_stats(stats: Sequence[Tuple[int, int, int]]) -> ChrFScore:

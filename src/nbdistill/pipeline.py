@@ -42,7 +42,7 @@ import subprocess
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import (
     LABEL_SUFFIXES,
@@ -50,7 +50,6 @@ from .corpus import (
     NBestCorpus,
     label_paths,
     load_file,
-    load_lines,
     load_nbest,
     load_reference_files,
     load_scores,
@@ -142,16 +141,7 @@ class PipelineConfig:
         ``data.test_refs`` are accepted and ignored.
         """
         p = Path(path)
-        text = "\n".join(load_lines(p))
-        if text.lstrip().startswith("{"):
-            sections = json.loads(text)
-        else:
-            cp = configparser.ConfigParser(interpolation=None)
-            cp.optionxform = str  # hook names are case-sensitive
-            cp.read_string(text)
-            if cp.defaults():  # else its keys would be blamed on every section
-                raise ValueError("unknown config section 'DEFAULT'")
-            sections = {name: dict(cp[name]) for name in cp.sections()}
+        sections = load_file(p, _read_sections)
         base = p.absolute().parent
         for name in sections:
             if name not in CONFIG_KEYS:
@@ -179,6 +169,36 @@ class PipelineConfig:
                 elif f.default is MISSING and f.default_factory is MISSING:
                     raise ValueError(f"config missing '{name}.{f.name}'")
         return cls(mira=MiraConfig(**mira), **kwargs)
+
+
+def _read_sections(stream: Iterable[str]) -> Dict[str, object]:
+    """The sections of a JSON or key/value config text; a syntax error is a
+    FormatError with its line."""
+    lines = [line for _, (line,) in read_fields(stream)]
+    text = "\n".join(lines)
+    if text.lstrip().startswith("{"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{exc.msg} at column {exc.colno}", exc.lineno) from None
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str  # hook names are case-sensitive
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]  # ParsingError: [(line, text)]
+        if isinstance(exc, configparser.DuplicateSectionError):
+            message = f"repeated section [{exc.section}]"
+        elif isinstance(exc, configparser.DuplicateOptionError):
+            message = f"repeated key '{exc.section}.{exc.option}'"
+        elif isinstance(exc, configparser.MissingSectionHeaderError):
+            message = f"expected a [section] header, got {lines[lineno - 1]!r}"
+        else:
+            message = f"expected 'key = value', got {lines[lineno - 1]!r}"
+        raise FormatError(message, lineno) from None
+    if cp.defaults():  # else its keys would be blamed on every section
+        raise ValueError("unknown config section 'DEFAULT'")
+    return {name: dict(cp[name]) for name in cp.sections()}
 
 
 # The keys of each config section (docs/config-schema.json).  A key sets the

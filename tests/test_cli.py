@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nbdistill.cli import build_parser, main
+from nbdistill.corpus import FormatError
 from nbdistill.mira import MiraConfig
+from nbdistill.pipeline import PipelineConfig
 from synth import make_corpus, nbest_lines, write_lines
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -371,6 +378,37 @@ class TestErrorsNameTheFile:
         (files / bad_file).write_text(text, encoding="utf-8")
         code, _, err = run(capsys, *argv.split())
         assert (code, err) == (1, f"error: {bad_file}: {message}\n")
+
+
+class TestConfigSyntaxErrors:
+    """A config file that does not parse is named with its bad line, in a
+    fresh process, so an escaping exception would show as a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, text, line, message",
+        [
+            ("bad.ini", "[pipeline]\nworkdir = w\njunk\n", 3, "expected 'key = value', got 'junk'"),
+            ("bad.ini", "[pipeline]\nworkdir = w\nworkdir = v\n", 3,
+             "repeated key 'pipeline.workdir'"),
+            ("bad.ini", "[pipeline]\nworkdir = w\n[pipeline]\n", 3, "repeated section [pipeline]"),
+            ("bad.ini", "workdir = w\n", 1, "expected a [section] header, got 'workdir = w'"),
+            ("bad.json", '{"pipeline": {"workdir": "w",}}', 1,
+             "Expecting property name enclosed in double quotes at column 30"),
+        ],
+        ids=["not-key-value", "repeated-key", "repeated-section", "no-section", "json"],
+    )
+    def test_error_names_the_file_and_the_line(self, tmp_path, name, text, line, message):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(tmp_path / name)
+        assert err.value.line == line
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "nbdistill", "selftrain", "--config", name],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (1, f"error: {name}: line {line}: {message}\n")
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from nbdistill.metrics import (
     _BLOCK_SENTENCES,
     NGramStats,
+    _overlaps,
     corpus_bleu,
     corpus_chrf,
     corpus_stats,
@@ -291,6 +293,33 @@ class TestCounterDefinitions:
             )
             assert repr(sentence_chrf(hyp, refs)) == repr(reference_sentence_chrf(hyp, refs))
         assert repr(corpus_chrf(pairs)) == repr(reference_corpus_chrf(pairs))
+
+
+def counter_overlaps(texts, orders):
+    """``_overlaps`` by its definition: the size of the ``Counter`` multiset
+    intersection of the n-grams of each pair of texts, per order."""
+    grams = [
+        [Counter(zip(*(text[k:] for k in range(order)))) for order in range(1, orders + 1)]
+        for text in texts
+    ]
+    return [[[sum((a & b).values()) for a, b in zip(gi, gj)] for gj in grams] for gi in grams]
+
+
+class TestOverlaps:
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "cat", "."]), max_size=8), max_size=6),
+           st.integers(1, 4))
+    @example([[], ["a"], ["a", "b", "a"], ["a", "b", "a", "b"]], 4)
+    @example([], 4)
+    def test_word_sequences_equal_to_counter_intersection(self, texts, orders):
+        assert _overlaps(texts, orders) == counter_overlaps(texts, orders)
+
+    @settings(max_examples=200)
+    @given(st.lists(TEXTS, max_size=6), st.integers(1, 6))
+    @example(["", "a", "ab", "abab", "日本 ab"], 6)
+    @example(["", ""], 6)
+    def test_character_sequences_equal_to_counter_intersection(self, texts, orders):
+        assert _overlaps(texts, orders) == counter_overlaps(texts, orders)
 
 
 class TestSentenceBleu:
