@@ -30,7 +30,8 @@ is immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
+import os
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
@@ -263,9 +264,26 @@ def load_lines(path: str | Path) -> List[str]:
     return load_file(path, lambda stream: [line for _, (line,) in read_fields(stream)])
 
 
-def open_out(path: str | Path) -> TextIO:
-    """Open ``path`` for UTF-8 output with ``\\n`` line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextmanager
+def open_out(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for UTF-8 output with ``\\n`` line ends, as a context
+    manager.  A regular file is written under a temporary name in its
+    directory, which replaces ``path`` only when the block ends without an
+    exception, so an interrupted write leaves the old file or none.  A link
+    or a device (``/dev/stdout``) is written in place."""
+    p = Path(path)
+    if p.is_symlink() or (p.exists() and not p.is_file()):
+        with open(p, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        return
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, p)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def write_text(path: str | Path, text: str) -> None:

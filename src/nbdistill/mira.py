@@ -58,8 +58,8 @@ class MiraConfig:
     init: str = "zeros"
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:  # NaN too
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.init not in INIT_MODES:

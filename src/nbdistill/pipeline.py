@@ -32,10 +32,8 @@ iteration with the best dev BLEU (ties go to the earliest iteration).
 
 from __future__ import annotations
 
-import configparser
 import json
 import math
-import os
 import shlex
 import shutil
 import subprocess
@@ -95,7 +93,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.iterations_max < 1:
             raise ValueError("iterations_max must be >= 1")
-        if self.min_delta < 0:
+        if not self.min_delta >= 0:  # NaN too
             raise ValueError("min_delta must be >= 0")
         if self.top_k_models < 1:
             raise ValueError("top_k_models must be >= 1")
@@ -139,66 +137,93 @@ class PipelineConfig:
         made absolute so that hooks running in ``workdir/iterN`` find them.
         An unknown section or key is an error; ``data.test_src`` and
         ``data.test_refs`` are accepted and ignored.
+
+        The key/value text is read line by line: blank lines and lines that
+        start with ``#`` or ``;`` are skipped, ``[name]`` opens a section, and
+        any other line is ``key = value``, split at its first ``=``.  A
+        repeated section or key is an error, in JSON too, and a number must be
+        finite.  Every error is a FormatError that starts with the path; in
+        key/value text, one about a key or section also names its line.
         """
-        p = Path(path)
-        sections = load_file(p, _read_sections)
-        base = p.absolute().parent
+        return load_file(path, cls._from_stream, Path(path).absolute().parent)
+
+    @classmethod
+    def _from_stream(cls, stream: Iterable[str], base: Path) -> "PipelineConfig":
+        sections, where = _read_sections(stream)
         for name in sections:
             if name not in CONFIG_KEYS:
-                raise ValueError(f"unknown config section {name!r}")
+                raise FormatError(f"unknown config section {name!r}", where.get(name))
         kwargs: Dict[str, object] = {}
         mira: Dict[str, object] = {}
         for name, keys in _KEY_TABLE.items():
             sec = sections.get(name, {})
             if not isinstance(sec, dict):
-                raise ValueError(f"config section {name!r} must be a mapping")
+                raise FormatError(f"config section {name!r} must be a mapping")
             for key in sec:
                 if key not in keys and not (
                     name == "hooks" and key.startswith("score_") and key != "score_"
                 ):
-                    raise ValueError(f"unknown config key '{name}.{key}'")
+                    raise FormatError(
+                        f"unknown config key '{name}.{key}'", where.get(f"{name}.{key}"))
             if name == "hooks":
                 kwargs["hooks"] = {
-                    k: _keyed(name, k, _convert, v, "str", base) for k, v in sec.items()}
+                    k: _keyed(where, name, k, v, "str", base) for k, v in sec.items()}
             target, owner = (mira, MiraConfig) if name == "mira" else (kwargs, cls)
             for f in fields(owner):
                 if f.name not in keys:
                     continue
                 if f.name in sec:
-                    target[f.name] = _keyed(name, f.name, _convert, sec[f.name], f.type, base)
+                    target[f.name] = _keyed(where, name, f.name, sec[f.name], f.type, base)
                 elif f.default is MISSING and f.default_factory is MISSING:
-                    raise ValueError(f"config missing '{name}.{f.name}'")
-        return cls(mira=MiraConfig(**mira), **kwargs)
+                    raise FormatError(f"config missing '{name}.{f.name}'")
+        try:
+            kwargs["mira"] = MiraConfig(**mira)
+        except ValueError as exc:
+            raise FormatError(str(exc), where.get("mira")) from None
+        return cls(**kwargs)
 
 
-def _read_sections(stream: Iterable[str]) -> Dict[str, object]:
-    """The sections of a JSON or key/value config text; a syntax error is a
+def _read_sections(stream: Iterable[str]) -> Tuple[Dict[str, object], Dict[str, int]]:
+    """The sections of a JSON or key/value config text, and for key/value
+    text the line of each section and ``section.key``; a syntax error is a
     FormatError with its line."""
     lines = [line for _, (line,) in read_fields(stream)]
     text = "\n".join(lines)
     if text.lstrip().startswith("{"):
         try:
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=_unique_keys), {}
         except json.JSONDecodeError as exc:
             raise FormatError(f"{exc.msg} at column {exc.colno}", exc.lineno) from None
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str  # hook names are case-sensitive
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]  # ParsingError: [(line, text)]
-        if isinstance(exc, configparser.DuplicateSectionError):
-            message = f"repeated section [{exc.section}]"
-        elif isinstance(exc, configparser.DuplicateOptionError):
-            message = f"repeated key '{exc.section}.{exc.option}'"
-        elif isinstance(exc, configparser.MissingSectionHeaderError):
-            message = f"expected a [section] header, got {lines[lineno - 1]!r}"
+        except (ValueError, RecursionError) as exc:  # a repeated key, a huge integer, deep nesting
+            raise FormatError(str(exc)) from None
+    sections, where, section = {}, {}, None
+    for lineno, line in enumerate(map(str.strip, lines), 1):
+        if not line or line[0] in "#;":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1]
+            if section in sections:
+                raise FormatError(f"repeated section [{section}]", lineno)
+            sections[section], where[section] = {}, lineno
         else:
-            message = f"expected 'key = value', got {lines[lineno - 1]!r}"
-        raise FormatError(message, lineno) from None
-    if cp.defaults():  # else its keys would be blamed on every section
-        raise ValueError("unknown config section 'DEFAULT'")
-    return {name: dict(cp[name]) for name in cp.sections()}
+            key, eq, value = map(str.strip, line.partition("="))
+            if section is None or not (eq and key):
+                expected = "a [section] header" if section is None else "'key = value'"
+                raise FormatError(f"expected {expected}, got {lines[lineno - 1]!r}", lineno)
+            if key in sections[section]:
+                raise FormatError(f"repeated key '{section}.{key}'", lineno)
+            sections[section][key], where[f"{section}.{key}"] = value, lineno
+    return sections, where
+
+
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object as a dict; a repeated key is an error."""
+    obj: Dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 # The keys of each config section (docs/config-schema.json).  A key sets the
@@ -223,24 +248,29 @@ def split_names(text: str) -> Tuple[str, ...]:
     return tuple(filter(None, map(str.strip, text.split(","))))
 
 
-def _keyed(section: str, key: str, convert: Callable, *args) -> object:
-    """``convert(*args)``, with an error that names the config key."""
+def _keyed(where: Dict[str, int], section: str, key: str, *args) -> object:
+    """``_convert(*args)``, with an error that names the config key and its line."""
     try:
-        return convert(*args)
+        return _convert(*args)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"config key '{section}.{key}': {exc}") from None
+        name = f"{section}.{key}"
+        raise FormatError(f"config key '{name}': {exc}", where.get(name)) from None
 
 
 def _convert(value: object, kind: str, base: Path) -> object:
     """A config value as a field of declared type ``kind``; paths resolve
     against ``base``.  A string or path takes only a string, and a list a JSON
     array of strings (one item each) or comma-separated text.  A JSON boolean
-    is no number, and an int takes only a number with no fraction."""
+    is no number, an int takes only a number with no fraction, and a float
+    must be finite."""
     if kind in _NUMBERS:
         fraction = kind == "int" and isinstance(value, float) and not value.is_integer()
         if fraction or isinstance(value, bool):
             raise ValueError(f"expected {kind}, got {json.dumps(value)}")
-        return _NUMBERS[kind](value)
+        number = _NUMBERS[kind](value)
+        if kind == "float" and not math.isfinite(number):
+            raise ValueError(f"expected a finite float, got {value}")
+        return number
     listed = kind.startswith("Tuple") and isinstance(value, list)
     for item in value if listed else [value]:
         if not isinstance(item, str):
@@ -310,9 +340,7 @@ def _append_ledger(path: Path, state: IterationState) -> None:
     if path.exists():
         lines = path.read_text(encoding="utf-8").splitlines()
     lines.append(json.dumps(asdict(state), sort_keys=True))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def assemble_file(

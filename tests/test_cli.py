@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,14 @@ class TestTuneDefaults:
         assert config == MiraConfig()
 
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "0"])
+    def test_c_must_be_positive_and_finite(self, capsys, c):
+        # rejected before any input file is opened
+        code, _, err = run(capsys, "tune", "--matrix", "m", "--nbest", "n", "--refs", "r",
+                           "--c", c, "--out", "w")
+        assert (code, err) == (1, f"error: c must be positive and finite, got {float(c)}\n")
+
+
 class TestOracleCli:
     def test_selection_output(self, workspace, capsys):
         code, out, err = run(
@@ -392,10 +401,14 @@ class TestConfigSyntaxErrors:
              "repeated key 'pipeline.workdir'"),
             ("bad.ini", "[pipeline]\nworkdir = w\n[pipeline]\n", 3, "repeated section [pipeline]"),
             ("bad.ini", "workdir = w\n", 1, "expected a [section] header, got 'workdir = w'"),
+            ("bad.ini", "[pipeline]\n# ':' is no delimiter\nworkdir: w\n", 3,
+             "expected 'key = value', got 'workdir: w'"),
+            ("bad.ini", "[pipeline]\n = w\n", 2, "expected 'key = value', got ' = w'"),
             ("bad.json", '{"pipeline": {"workdir": "w",}}', 1,
              "Expecting property name enclosed in double quotes at column 30"),
         ],
-        ids=["not-key-value", "repeated-key", "repeated-section", "no-section", "json"],
+        ids=["not-key-value", "repeated-key", "repeated-section", "no-section", "colon",
+             "no-key", "json"],
     )
     def test_error_names_the_file_and_the_line(self, tmp_path, name, text, line, message):
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -409,6 +422,17 @@ class TestConfigSyntaxErrors:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stderr) == (1, f"error: {name}: line {line}: {message}\n")
+
+
+def test_readme_commands_parse():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("nbdistill ")]
+    assert {command.split()[1] for command in commands} == {
+        "evaluate", "assemble", "tune", "rerank", "oracle", "distill", "selftrain", "status"}
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])
 
 
 class TestDeterminism:

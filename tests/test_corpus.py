@@ -1,4 +1,5 @@
 import io
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,8 +15,10 @@ from nbdistill.corpus import (
     load_references,
     load_scores,
     load_sources,
+    open_out,
     write_nbest,
     write_pseudo_labels,
+    write_text,
 )
 from nbdistill.features import load_matrix
 from nbdistill.mira import load_weights
@@ -315,3 +318,34 @@ class TestWritePseudoLabels:
         p1 = write_pseudo_labels(sources, labels, tmp_path / "one", "tsv")[0]
         p2 = write_pseudo_labels(sources, labels, tmp_path / "two", "tsv")[0]
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestOpenOut:
+    def test_an_error_leaves_the_old_file_and_nothing_else(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="^boom$"):
+            with open_out(path) as f:
+                f.write("new, half written")
+                f.flush()
+                raise RuntimeError("boom")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.tsv"]
+
+    def test_a_clean_close_replaces_the_file_with_the_mode_of_open(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        path.write_bytes(b"old, and longer\n")
+        write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        with open(tmp_path / "plain", "w") as f:
+            f.write("x")
+        assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
+        assert sorted(os.listdir(tmp_path)) == ["out.tsv", "plain"]
+
+    def test_a_link_is_written_through(self, tmp_path):
+        target = tmp_path / "target"
+        target.write_text("old\n")
+        (tmp_path / "link").symlink_to(target)
+        write_text(tmp_path / "link", "new\n")
+        assert (tmp_path / "link").is_symlink()
+        assert target.read_text() == "new\n"

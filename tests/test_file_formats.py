@@ -3,7 +3,9 @@
 A valid file of each format is mutated by inserting, deleting and duplicating
 bytes and lines, and read back through the loader's file path.  The loader
 must return or raise a FormatError, and the error must carry the number of a
-line of the file, unless it is about the whole stream.
+line of the file, unless it is about the whole stream.  A config error starts
+with the config's path; one about a JSON key has no line, because the JSON
+decoder gives keys no position.
 """
 
 import json
@@ -22,7 +24,7 @@ from nbdistill.corpus import (
 )
 from nbdistill.features import load_matrix
 from nbdistill.mira import load_weights
-from nbdistill.pipeline import read_ledger
+from nbdistill.pipeline import PipelineConfig, read_ledger
 
 ENTRY = {"iter": 1, "dev_bleu": 1.5, "weights_path": "w", "labels_path": "l",
          "started": "t0", "finished": "t1"}
@@ -34,6 +36,32 @@ VALID = {
     "references": "a b\nc .\nd \u00e9\n".encode(),
     "sources": b"x y\nz\n w \n",
     "ledger": "".join(json.dumps({**ENTRY, "iter": i}) + "\n" for i in (1, 2)).encode(),
+    "config.ini": b"""; a comment
+[pipeline]
+workdir = w
+min_delta = 0.5
+
+[data]
+tune_src = t
+tune_refs = r0,r1
+dev_src = d
+dev_refs = r
+transfer_src = x
+[features]
+native = len
+[hooks]
+generate_nbest = gen {IN} {OUT}
+[mira]
+c = 1e-2
+epochs = 3
+""",
+    "config.json": json.dumps({
+        "pipeline": {"workdir": "w", "min_delta": 0.5},
+        "data": {"tune_src": "t", "tune_refs": ["r0", "r1"], "dev_src": "d", "dev_refs": "r",
+                 "transfer_src": "x"},
+        "features": {"native": "len"}, "hooks": {"generate_nbest": "gen {IN} {OUT}"},
+        "mira": {"c": 1e-2, "epochs": 3},
+    }, indent=1).encode(),
 }
 LOADERS = {
     "nbest": lambda path: load_file(path, load_nbest),
@@ -44,12 +72,15 @@ LOADERS = {
     "references": lambda path: load_reference_files([path, path.with_name("ref1")]),
     "sources": lambda path: load_file(path, load_sources),
     "ledger": read_ledger,
+    "config.ini": PipelineConfig.from_file,
+    "config.json": PipelineConfig.from_file,
 }
 # the errors that concern a whole stream, and so name no line
 WHOLE_STREAM = ("no sentences", "empty matrix file", "matrix has no rows", "no weights",
-                "line count mismatch", "ledger iteration indices")
+                "line count mismatch", "ledger iteration indices", "config missing")
 PIECES = (b"\n", b"\r", b"\t", b" ||| ", b"|||", b" ", b"#", b"0", b"1", b"-", b".", b"e",
-          b"=", b"nan", b"{", b"}", b'"', b":", b",", b"\x0c", b"\xff", "\u00e9\u00a0\u2028".encode())
+          b"=", b"nan", b"{", b"}", b'"', b":", b",", b"[", b"]", b";", b"\x0c", b"\xff",
+          "\u00e9\u00a0\u2028".encode())
 LINES = [line for data in VALID.values() for line in data.splitlines(keepends=True)]
 
 
@@ -79,6 +110,9 @@ def mutated(draw):
 @settings(max_examples=1000)
 @example(("ledger", json.dumps(ENTRY).replace("1.5", "1" * 5000).encode()))
 @example(("nbest", VALID["nbest"].replace(b"c", b"\xff")))
+# MiraConfig's own checks
+@example(("config.ini", VALID["config.ini"].replace(b"epochs = 3", b"epochs = -3")))
+@example(("config.json", VALID["config.json"].replace(b'"epochs": 3', b'"epochs": -3')))
 @given(mutated())
 def test_every_loader_returns_or_raises_a_line_numbered_format_error(case):
     name, data = case
@@ -89,8 +123,20 @@ def test_every_loader_returns_or_raises_a_line_numbered_format_error(case):
         try:
             LOADERS[name](path)
         except FormatError as exc:
+            if name.startswith("config") and "invalid UTF-8" not in str(exc):
+                # invalid UTF-8 names the file inside the text, as for every loader
+                assert str(exc).startswith(f"{path}: "), str(exc)
             if exc.line is None:
-                assert any(text in str(exc) for text in WHOLE_STREAM), str(exc)
+                assert name == "config.json" or any(text in str(exc) for text in WHOLE_STREAM), \
+                    str(exc)
             else:
                 # text mode splits lines at \n, \r and \r\n, as bytes.splitlines does
                 assert 1 <= exc.line <= len(data.splitlines()), str(exc)
+
+
+def test_every_valid_file_loads(tmp_path):
+    for name, data in VALID.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "ref1").write_bytes(VALID["references"])
+    loaded = {name: LOADERS[name](tmp_path / name) for name in VALID}
+    assert loaded["config.ini"] == loaded["config.json"]

@@ -32,6 +32,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             MiraConfig(c=0.0)
+        for c in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^c must be positive and finite, got {c}$"):
+                MiraConfig(c=c)
         with pytest.raises(ValueError):
             MiraConfig(epochs=0)
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import configparser
 import dataclasses
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nbdistill.cli import main as cli_main
 from nbdistill.metrics import corpus_bleu, corpus_stats
@@ -15,6 +18,7 @@ from nbdistill.pipeline import (
     HookError,
     IterationState,
     PipelineConfig,
+    _read_sections,
     best_iteration,
     read_ledger,
     run_iteration,
@@ -107,15 +111,99 @@ class TestConfig:
     )
     def test_unknown_keys_and_sections_rejected(self, tmp_path, section, line, message):
         ini = build_pipeline_fixtures(tmp_path)
-        ini.write_text(ini.read_text().replace(section, f"{section}\n{line}"))
-        with pytest.raises(ValueError, match=message):
+        text = ini.read_text()
+        ini.write_text(text.replace(section, f"{section}\n{line}"))
+        # the error names the line after the header: the key, or the section it opens
+        lineno = text.splitlines().index(section) + 2
+        with pytest.raises(FormatError) as err:
             PipelineConfig.from_file(ini)
+        assert (str(err.value), err.value.line) == (f"{ini}: line {lineno}: {message}", lineno)
 
     def test_unknown_json_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"pipeline": {"workdir": "w"}, "data": {"dev_ref": "x"}}))
-        with pytest.raises(ValueError, match="unknown config key 'data.dev_ref'"):
+        with pytest.raises(FormatError) as err:
             PipelineConfig.from_file(path)
+        # the JSON decoder gives keys no position
+        assert (str(err.value), err.value.line) == (
+            f"{path}: unknown config key 'data.dev_ref'", None)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"pipeline": {"workdir": "w", "workdir": "v"}}', "workdir"),
+            ('{"pipeline": {"workdir": "w"}, "pipeline": {"workdir": "v"}}', "pipeline"),
+            ('{"hooks": {"generate_nbest": "a"}, "x": {"y": {"z": 1, "z": 2}}}', "z"),
+        ],
+        ids=["key", "section", "nested"],
+    )
+    def test_repeated_json_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(path)
+        assert (str(err.value), err.value.line) == (f"{path}: repeated key {key!r}", None)
+
+    @pytest.mark.parametrize(
+        "text", ['{"mira": {"epochs": ' + "1" * 5000 + "}}", '{"x": ' + "[" * 100000],
+        ids=["integer-too-long", "nesting-too-deep"],
+    )
+    def test_json_decoder_limits_name_the_file(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: ") as err:
+            PipelineConfig.from_file(path)
+        assert err.value.line is None
+
+    def test_indented_line_is_its_own_key(self, tmp_path):
+        ini = build_pipeline_fixtures(tmp_path)
+        ini.write_text(ini.read_text().replace(
+            "workdir = work\n", "workdir = work\n    min_delta = 5\n").replace(
+            "min_delta = 0.1\n", ""))
+        config = PipelineConfig.from_file(ini)
+        assert (config.workdir, config.min_delta) == (tmp_path / "work", 5.0)
+
+    @pytest.mark.parametrize(
+        "old, new, key, shown",
+        [
+            ("min_delta = 0.1", "min_delta = nan", "pipeline.min_delta", "nan"),
+            ("min_delta = 0.1", "min_delta = -inf", "pipeline.min_delta", "-inf"),
+            ("c = 0.01", "c = nan", "mira.c", "nan"),
+            ("c = 0.01", "c = 1e400", "mira.c", "1e400"),
+        ],
+        ids=["nan-min-delta", "inf-min-delta", "nan-c", "overflow-c"],
+    )
+    def test_numbers_must_be_finite(self, tmp_path, old, new, key, shown):
+        ini = build_pipeline_fixtures(tmp_path)
+        text = ini.read_text().replace(old, new)
+        ini.write_text(text)
+        lineno = text.splitlines().index(new) + 1
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(ini)
+        message = f"config key '{key}': expected a finite float, got {shown}"
+        assert (str(err.value), err.value.line) == (f"{ini}: line {lineno}: {message}", lineno)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e400"])
+    def test_json_numbers_must_be_finite(self, tmp_path, value):
+        _, sections = self.json_sections(tmp_path)
+        sections["pipeline"]["min_delta"] = "VALUE"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(sections).replace('"VALUE"', value))
+        shown = {"NaN": "nan", "Infinity": "inf", "-1e400": "-inf"}[value]
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(path)
+        assert str(err.value) == (
+            f"{path}: config key 'pipeline.min_delta': expected a finite float, got {shown}")
+
+    def test_mira_checks_name_the_file_and_the_section(self, tmp_path):
+        ini = build_pipeline_fixtures(tmp_path)
+        text = ini.read_text().replace("epochs = 4", "epochs = 0")
+        ini.write_text(text)
+        lineno = text.splitlines().index("[mira]") + 1
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(ini)
+        assert (str(err.value), err.value.line) == (
+            f"{ini}: line {lineno}: epochs must be >= 1", lineno)
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -133,10 +221,15 @@ class TestConfig:
         if old is None:
             path = tmp_path / "c.json"
             path.write_text(json.dumps(new))
+            prefix, lineno = f"{path}: ", None
         else:
-            path.write_text(path.read_text().replace(old, new))
-        with pytest.raises(ValueError, match=message):
+            text = path.read_text().replace(old, new)
+            path.write_text(text)
+            lineno = text.splitlines().index(new) + 1
+            prefix = f"{path}: line {lineno}: "
+        with pytest.raises(FormatError, match=f"^{re.escape(prefix + message)}") as err:
             PipelineConfig.from_file(path)
+        assert err.value.line == lineno
 
     @staticmethod
     def json_sections(tmp_path):
@@ -169,8 +262,10 @@ class TestConfig:
         sections[section][key] = value
         path = tmp_path / "c.json"
         path.write_text(json.dumps(sections))
-        with pytest.raises(ValueError, match=f"^config key '{section}.{key}': {message}$"):
+        message = f"{path}: config key '{section}.{key}': {message}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as err:
             PipelineConfig.from_file(path)
+        assert err.value.line is None
 
     def test_json_integral_float_is_an_int(self, tmp_path):
         config, sections = self.json_sections(tmp_path)
@@ -197,8 +292,10 @@ class TestConfig:
         sections[section][key] = value
         path = tmp_path / "c.json"
         path.write_text(json.dumps(sections))
-        with pytest.raises(ValueError, match=f"^config key '{section}.{key}': {message}$"):
+        message = f"{path}: config key '{section}.{key}': {message}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as err:
             PipelineConfig.from_file(path)
+        assert err.value.line is None
 
     def test_json_array_items_are_not_split(self, tmp_path):
         _, sections = self.json_sections(tmp_path)
@@ -245,8 +342,13 @@ class TestConfig:
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"pipeline": {"workdir": "w"}}))
-        with pytest.raises(ValueError, match="data.tune_src"):
+        with pytest.raises(FormatError, match="data.tune_src"):
             PipelineConfig.from_file(path)
+        ini = tmp_path / "c.ini"
+        ini.write_text("[pipeline]\nworkdir = w\n")
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(ini)
+        assert (str(err.value), err.value.line) == (f"{ini}: config missing 'data.tune_src'", None)
 
     def test_invalid_utf8_names_the_file_and_the_line(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -274,6 +376,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="generate_nbest"):
             config.validate()
 
+    def test_nan_min_delta_set_from_code_is_rejected(self, tmp_path):
+        config = minimal_config(tmp_path, min_delta=float("nan"))
+        with pytest.raises(ValueError, match="^min_delta must be >= 0$"):
+            config.validate()
+
     def test_iterations_max_zero_is_config_error(self, tmp_path):
         config = minimal_config(tmp_path, iterations_max=0)
         with pytest.raises(ValueError, match="iterations_max"):
@@ -289,6 +396,42 @@ class TestConfig:
         (tmp_path / "dev.src").unlink()
         with pytest.raises(ValueError, match="dev_src"):
             config.validate()
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+# values have no blank at either end, and may hold the characters of the grammar
+VALUES = st.text("ab =:;#[]{}.,-/\u00e9\u65e5", max_size=8).map(str.strip)
+# blank lines and comment lines, which may be indented
+FILLER = st.lists(st.sampled_from(["", "  ", "# note", "; k = v", "   # [x]", "\t;"]), max_size=2)
+
+
+@st.composite
+def ini_texts(draw):
+    """A config text in the documented grammar, with no repeated section or key."""
+    sections = draw(st.dictionaries(
+        NAMES.filter(lambda name: name != "DEFAULT"),  # configparser's defaults section
+        st.dictionaries(NAMES, VALUES, max_size=4), max_size=4))
+    lines = draw(FILLER)
+    for name, keys in sections.items():
+        lines += [f"[{name}]", *draw(FILLER)]
+        for key, value in keys.items():
+            lines += [key + draw(st.sampled_from(["=", " = ", "  =", "=\t"])) + value,
+                      *draw(FILLER)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(ini_texts())
+def test_ini_reader_matches_configparser(text):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_string(text)
+    sections, where = _read_sections(io.StringIO(text))
+    assert sections == {name: dict(cp[name]) for name in cp.sections()}
+    lines = text.split("\n")
+    for name, keys in sections.items():
+        assert lines[where[name] - 1] == f"[{name}]"
+        for key in keys:
+            assert lines[where[f"{name}.{key}"] - 1].split("=")[0].strip() == key
 
 
 class TestStoppingRule:
