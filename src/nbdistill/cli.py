@@ -24,23 +24,47 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 
 from . import metrics
 from .corpus import (
-    LABEL_SUFFIXES, load_file, load_lines, load_nbest, load_reference_files, load_sources,
-    write_pseudo_labels, write_text,
+    LABEL_SUFFIXES, load_file, load_lines, load_nbest, load_reference_files, write_text,
 )
-from .distill import kd_top1, ki_select
 from .mira import INIT_MODES, MiraConfig
 from .pipeline import (
     HookError,
     PipelineConfig,
     assemble_file,
+    distill_file,
     rerank_file,
-    rerank_labels_file,
     run_selftrain,
     split_names,
     status_table,
     tune_file,
 )
 from .rerank import beam_sweep, format_selections, format_sweep, oracle_select
+
+
+# How each command with modes picks its mode, and the flags that only some of
+# its modes read, True where the mode needs it.  Any other is an error.
+MODE_FLAGS = {
+    "distill": (lambda args: args.strategy,
+                {"kd": {}, "ki": {"orig_refs": True},
+                 "rerank": {"matrix": True, "weights": True, "top_k_models": False}}),
+    "oracle": (lambda args: "--sweep" if args.sweep else "select",
+               {"select": {"mode": False}, "--sweep": {}}),
+    "rerank": (lambda args: "--report" if args.report else "without --report",
+               {"without --report": {}, "--report": {"refs": False}}),
+}
+
+
+def check_mode_flags(args) -> None:
+    """Reject a flag the mode of ``args`` does not read, and a missing one it needs."""
+    if args.command in MODE_FLAGS:
+        pick, modes = MODE_FLAGS[args.command]
+        mode = pick(args)
+        for dest in dict.fromkeys(dest for flags in modes.values() for dest in flags):
+            flag, given = "--" + dest.replace("_", "-"), getattr(args, dest) is not None
+            if given and dest not in modes[mode]:
+                raise ValueError(f"{args.command} {mode} does not read {flag}")
+            if modes[mode].get(dest) and not given:
+                raise ValueError(f"{args.command} {mode} requires {flag}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -95,7 +119,7 @@ def cmd_tune(args) -> int:
 def cmd_rerank(args) -> int:
     result, mask = rerank_file(
         args.matrix, args.nbest, args.weights, args.out,
-        models=args.top_k_models, refs=split_names(args.refs),
+        models=args.top_k_models, refs=split_names(args.refs or ""),
     )
     if args.report:
         if result.corpus_score is not None:
@@ -127,24 +151,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    if args.strategy == "rerank":
-        if not (args.matrix and args.weights):
-            raise ValueError("--strategy rerank requires --matrix and --weights")
-        paths = rerank_labels_file(
-            args.matrix, args.nbest, args.weights, args.src, args.out, args.format,
-            models=args.top_k_models,
-        )
-    else:
-        corpus = load_file(args.nbest, load_nbest)
-        if args.strategy == "kd":
-            labels = kd_top1(corpus)
-        elif not args.orig_refs:
-            raise ValueError("--strategy ki requires --orig-refs")
-        else:
-            labels = ki_select(corpus, load_reference_files(split_names(args.orig_refs)))
-        sources = load_file(args.src, load_sources)
-        paths = write_pseudo_labels(sources, labels, args.out, args.format)
-    for p in paths:
+    refs = split_names(args.orig_refs or "")
+    for p in distill_file(args.strategy, args.nbest, args.src, args.out, args.format,
+                          args.matrix, args.weights, args.top_k_models, refs):
         print(p)
     return 0
 
@@ -204,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k-models", type=int, default=None,
                    help="restrict to the k largest-magnitude features")
     p.add_argument("--out", required=True, help="selections TSV (SID RANK TEXT)")
-    p.add_argument("--refs", default="")
+    p.add_argument("--refs", default=None)
     p.add_argument("--report", action="store_true", help="print corpus BLEU of the selection")
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("oracle", help="greedy oracle/anti-oracle selection and beam sweeps")
     p.add_argument("--nbest", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--mode", choices=("oracle", "anti"), default="oracle")
+    p.add_argument("--mode", choices=("oracle", "anti"), default=None, help="default: oracle")
     p.add_argument("--sweep", default=None, help="comma list of truncation sizes, e.g. 1,2,4,8")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
@@ -241,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_mode_flags(args)
         return args.func(args)
     except (ValueError, HookError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

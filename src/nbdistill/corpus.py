@@ -17,11 +17,11 @@ File formats (all UTF-8, ``\\n`` line endings):
   ``SOURCE<TAB>TARGET`` TSV.
 
 Every loader reads its lines through ``read_fields``.  A malformed line raises
-a ``FormatError`` whose ``line`` is its 1-based number; invalid UTF-8 in an
-open file also names the file, and ``load_file`` puts the path in front of
-every other error it reads (``PATH: line 7: ...``).  Only errors about the
-whole stream (an empty n-best list, reference streams of different lengths)
-have no line.
+a ``FormatError`` whose ``line`` is its 1-based number.  ``naming``, used by
+``load_file`` and ``load_references``, alone puts a path in front of an error:
+``PATH: line 7: ...``, or ``PATH: ...`` for one about the whole file.  Only
+errors about a whole stream (an empty n-best list, reference streams of
+different lengths) have no line.
 
 Text is carried verbatim (no unicode normalization); everything loaded here
 is immutable after construction and safe to share across workers.
@@ -41,9 +41,7 @@ SEP = " ||| "
 
 class FormatError(ValueError):
     """An input stream violates its file-format contract.  ``line`` is the
-    1-based number of the bad line; ``path`` is set once the message names the file."""
-
-    path: str | None = None
+    1-based number of the bad line."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -144,11 +142,14 @@ class ExternalScoreTable:
             )
 
 
-def _parse_float(token: str, lineno: int, what: str) -> float:
+def _parse_float(token: str, lineno: int, what: str, finite: bool = False) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"unparseable {what}: {token!r}", lineno) from None
+    if finite and not math.isfinite(value):
+        raise FormatError(f"non-finite {what} {token!r}", lineno)
+    return value
 
 
 def _parse_scores(fld: str, lineno: int) -> Dict[str, float]:
@@ -195,15 +196,11 @@ def read_fields(
         if not hasattr(stream, "name"):
             raise
         # text-mode decoding reads ahead in chunks, so find the line in the bytes
-        with open(stream.name, "rb") as f:
-            lines = f.read().splitlines()
-        for lineno, raw in enumerate(lines, 1):
+        for lineno, raw in enumerate(Path(stream.name).read_bytes().splitlines(), 1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                error = FormatError(f"invalid UTF-8 in {stream.name!r}: {exc.reason}", lineno)
-                error.path = stream.name
-                raise error from None
+                raise FormatError(f"invalid UTF-8: {exc.reason}", lineno) from None
         raise
 
 
@@ -246,17 +243,21 @@ def load_nbest(stream: Iterable[str]) -> NBestCorpus:
     return NBestCorpus(*zip(*(tuple(zip(*hyps)) for hyps in lists)))
 
 
+@contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Put ``path`` in front of a FormatError raised in the block."""
+    try:
+        yield
+    except FormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_file(path: str | Path, load: Callable, *args):
-    """``load(stream, *args)`` over the UTF-8 text of ``path``; a FormatError
-    names the path, so a command that reads several files says which failed."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return load(f, *args)
-        except FormatError as exc:
-            if exc.path is None:
-                exc.path = f.name
-                exc.args = (f"{f.name}: {exc}",)
-            raise
+    """``load(stream, *args)`` over the UTF-8 text of ``path``, ``naming`` it,
+    so that a command that reads several files says which one failed."""
+    with open(path, encoding="utf-8") as f, naming(path):
+        return load(f, *args)
 
 
 def load_lines(path: str | Path) -> List[str]:
@@ -270,10 +271,12 @@ def open_out(path: str | Path) -> Iterator[TextIO]:
     manager.  A regular file is written under a temporary name in its
     directory, which replaces ``path`` only when the block ends without an
     exception, so an interrupted write leaves the old file or none.  A link
-    or a device (``/dev/stdout``) is written in place."""
+    or a device is written in place, and the file of standard output
+    (``/dev/stdout``) through fd 1, which keeps what a shell's ``>>`` put there."""
     p = Path(path)
     if p.is_symlink() or (p.exists() and not p.is_file()):
-        with open(p, "w", encoding="utf-8", newline="\n") as f:
+        stdout = p.exists() and os.path.samestat(p.stat(), os.fstat(1))
+        with open(1 if stdout else p, "w", encoding="utf-8", newline="\n", closefd=not stdout) as f:
             yield f
         return
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
@@ -315,9 +318,7 @@ def load_scores(stream: Iterable[str], feature_name: str) -> ExternalScoreTable:
             raise FormatError(f"bad id/rank: {parts[0]!r}, {parts[1]!r}", lineno) from None
         if sid < 0 or rank < 0:
             raise FormatError(f"negative id/rank ({sid},{rank})", lineno)
-        score = _parse_float(parts[2], lineno, "score")
-        if not math.isfinite(score):
-            raise FormatError(f"non-finite score {parts[2]!r}", lineno)
+        score = _parse_float(parts[2], lineno, "score", finite=True)
         key = (sid, rank)
         if key in scores:
             raise FormatError(f"duplicate key ({sid},{rank})", lineno)
@@ -328,14 +329,17 @@ def load_scores(stream: Iterable[str], feature_name: str) -> ExternalScoreTable:
 def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
     """Zip one or more aligned reference streams into a multi-reference set.
 
-    An error names a stream by its ``name`` (an open file's path) when it has
-    one, and by its 0-based position otherwise.
+    An error starts with the stream's ``name`` (an open file's path), or
+    with ``reference I`` for the stream at 0-based position I that has none.
     """
     if not streams:
         raise ValueError("at least one reference stream required")
-    names = [f"reference {getattr(s, 'name', i)!r}" for i, s in enumerate(streams)]
-    columns = [[line for _, (line,) in read_fields(s, name=n)] for s, n in zip(streams, names)]
+    columns = []
+    for i, stream in enumerate(streams):
+        with naming(getattr(stream, "name", f"reference {i}")):
+            columns.append([line for _, (line,) in read_fields(stream, name="reference")])
     if len({len(c) for c in columns}) > 1:
+        names = [f"reference {getattr(s, 'name', i)!r}" for i, s in enumerate(streams)]
         counts = ", ".join(f"{name}: {len(c)}" for name, c in zip(names, columns))
         raise FormatError(
             "line count mismatch " + " vs ".join(str(len(c)) for c in columns) + f" ({counts})"

@@ -175,9 +175,7 @@ def write_weights(
 def load_weights(stream: Iterable[str]) -> WeightVector:
     weights: Dict[str, float] = {}
     for lineno, (name, token) in read_fields(stream, "\t", 2, comment="#"):
-        value = _parse_float(token, lineno, "weight")
-        if not math.isfinite(value):
-            raise FormatError(f"non-finite weight {token!r}", lineno)
+        value = _parse_float(token, lineno, "weight", finite=True)
         if name in weights:
             raise FormatError(f"duplicate feature name {name!r}", lineno)
         weights[name] = value

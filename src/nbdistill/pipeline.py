@@ -1,8 +1,8 @@
 """Self-training orchestration, and the file-level steps it shares with the CLI.
 
 The file-level steps ``assemble_file``, ``tune_file``, ``rerank_file`` and
-``rerank_labels_file`` back both the CLI commands and the self-training
-stages, so a stage writes the same bytes as its command.
+``distill_file`` (every strategy's labels) back both the CLI commands and the
+self-training stages, so a stage writes the same bytes as its command.
 
 Each iteration shells out to user-supplied hook commands for the expensive,
 model-dependent work (n-best generation, external feature scoring) and runs
@@ -46,6 +46,7 @@ from .corpus import (
     LABEL_SUFFIXES,
     FormatError,
     NBestCorpus,
+    _parse_float,
     label_paths,
     load_file,
     load_nbest,
@@ -57,7 +58,7 @@ from .corpus import (
     write_pseudo_labels,
     write_text,
 )
-from .distill import rerank_labels
+from .distill import kd_top1, ki_select, rerank_labels
 from .features import FeatureMatrix, assemble_matrix, load_matrix, write_matrix, NATIVE_FEATURES
 from .mira import MiraConfig, TuneRun, WeightVector, load_weights, tune_mira, write_weights
 from .rerank import (
@@ -304,34 +305,32 @@ _LEDGER_TYPES = {"int": int, "float": (float, int), "str": str}
 
 
 def read_ledger(path: str | Path) -> List[IterationState]:
-    p = Path(path)
-    if not p.exists():
-        return []
+    return load_file(path, _ledger_entries) if Path(path).exists() else []
+
+
+def _ledger_entries(stream: Iterable[str]) -> List[IterationState]:
     states = []
-    with open(p, encoding="utf-8") as stream:
-        for lineno, (line,) in read_fields(stream):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if isinstance(obj, dict):
-                    # earlier versions recorded hook exit statuses, always 0
-                    obj.pop("hook_statuses", None)
-                state = IterationState(**obj)
-                for f in fields(state):
-                    value = getattr(state, f.name)
-                    if isinstance(value, bool) or not isinstance(value, _LEDGER_TYPES[f.type]):
-                        raise TypeError(f"{f.name} must be {f.type}, got {json.dumps(value)}")
-                if not math.isfinite(state.dev_bleu):  # OverflowError for a huge integer
-                    raise ValueError(f"dev_bleu must be finite, got {json.dumps(state.dev_bleu)}")
-                states.append(state)
-            except (OverflowError, TypeError, ValueError) as exc:
-                error = FormatError(f"{p}: bad ledger entry on line {lineno}: {exc}")
-                error.line = lineno
-                raise error from None
+    for lineno, (line,) in read_fields(stream):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if isinstance(obj, dict):
+                # earlier versions recorded hook exit statuses, always 0
+                obj.pop("hook_statuses", None)
+            state = IterationState(**obj)
+            for f in fields(state):
+                value = getattr(state, f.name)
+                if isinstance(value, bool) or not isinstance(value, _LEDGER_TYPES[f.type]):
+                    raise TypeError(f"{f.name} must be {f.type}, got {json.dumps(value)}")
+            if not math.isfinite(state.dev_bleu):  # OverflowError for a huge integer
+                raise ValueError(f"dev_bleu must be finite, got {json.dumps(state.dev_bleu)}")
+            states.append(state)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad ledger entry: {exc}", lineno) from None
     for i, state in enumerate(states, 1):
         if state.iter != i:
-            raise FormatError(f"{p}: ledger iteration indices are not 1..{len(states)}")
+            raise FormatError(f"ledger iteration indices are not 1..{len(states)}")
     return states
 
 
@@ -391,13 +390,18 @@ def rerank_file(
     return result, inputs[-1]
 
 
-def rerank_labels_file(
-    matrix: str | Path, nbest: str | Path, weights: str | Path, src: str | Path,
-    out_prefix: str | Path, fmt: str = "tsv", models: Optional[int] = None,
+def distill_file(
+    strategy: str, nbest: str | Path, src: str | Path, out_prefix: str | Path, fmt: str = "tsv",
+    matrix: Optional[str | Path] = None, weights: Optional[str | Path] = None,
+    models: Optional[int] = None, refs: Sequence[str | Path] = (),
 ) -> List[Path]:
-    """Write the reranker's pseudo-labels for the sources in ``src``;
-    returns the written paths."""
-    labels = rerank_labels(*_rerank_inputs(matrix, nbest, weights, models))
+    """Write the kd, ki (nearest ``refs``) or rerank labels of ``src``; returns the paths."""
+    if strategy == "rerank":
+        labels = rerank_labels(*_rerank_inputs(matrix, nbest, weights, models))
+    elif strategy == "kd":
+        labels = kd_top1(load_file(nbest, load_nbest))
+    else:
+        labels = ki_select(load_file(nbest, load_nbest), load_reference_files(refs))
     return write_pseudo_labels(load_file(src, load_sources), labels, out_prefix, fmt)
 
 
@@ -468,9 +472,9 @@ def _select(it: _Iteration) -> None:
 
 
 def _distill(it: _Iteration) -> None:
-    rerank_labels_file(
-        it.matrix["transfer"], it.nbest["transfer"], it.weights, it.config.transfer_src,
-        it.labels, it.config.label_format, models=it.config.top_k_models,
+    distill_file(
+        "rerank", it.nbest["transfer"], it.config.transfer_src, it.labels,
+        it.config.label_format, it.matrix["transfer"], it.weights, it.config.top_k_models,
     )
 
 
@@ -480,6 +484,14 @@ def _evaluate(it: _Iteration) -> None:
         models=it.config.top_k_models, refs=it.config.dev_refs,
     )
     write_text(it.dev_bleu, repr(result.corpus_score.value) + "\n")
+
+
+def _load_bleu(stream: Iterable[str]) -> float:
+    """The dev BLEU that ``_evaluate`` wrote: one finite number on one line."""
+    values = [_parse_float(text, n, "dev BLEU", finite=True) for n, (text,) in read_fields(stream)]
+    if len(values) != 1:
+        raise FormatError(f"expected one line, got {len(values)}")
+    return values[0]
 
 
 _STAGE_TABLE: Tuple[Tuple[str, Callable[[_Iteration], None]], ...] = (
@@ -512,7 +524,7 @@ def run_iteration(
             marker.touch()
     state = IterationState(
         iter=iter_n,
-        dev_bleu=float(it.dev_bleu.read_text(encoding="utf-8").strip()),
+        dev_bleu=load_file(it.dev_bleu, _load_bleu),
         weights_path=str(it.weights),
         labels_path=str(label_paths(it.labels, config.label_format)[-1]),
         started=started,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nbdistill.cli import build_parser, main
+from nbdistill.cli import MODE_FLAGS, build_parser, check_mode_flags, main
 from nbdistill.corpus import FormatError
 from nbdistill.mira import MiraConfig
 from nbdistill.pipeline import PipelineConfig
@@ -107,15 +107,14 @@ class TestEvaluate:
             capsys, "evaluate", "--hyp", workspace / "hyp.txt",
             "--refs", f"{workspace}/ref0.txt,{blank}",
         )
-        assert (code, out) == (1, "")
-        assert f"line 3: empty line in reference {str(blank)!r} stream" in err
+        assert (code, out, err) == (1, "", f"error: {blank}: line 3: empty line in reference stream\n")
 
     def test_invalid_utf8_hypothesis_names_its_file_and_line(self, workspace, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"one\ntwo\xff\n")
         code, out, err = run(capsys, "evaluate", "--hyp", bad, "--refs", workspace / "ref0.txt")
         assert (code, out) == (1, "")
-        assert err == f"error: line 2: invalid UTF-8 in {str(bad)!r}: invalid start byte\n"
+        assert err == f"error: {bad}: line 2: invalid UTF-8: invalid start byte\n"
 
     @pytest.mark.parametrize(
         "metric, want",
@@ -307,6 +306,68 @@ class TestDistillCli:
         assert "matrix" in err
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+class TestModeFlags:
+    """Each mode of distill, oracle and rerank reads its own flags.  Any
+    other, or a missing one that it needs, fails before a file is opened."""
+
+    KD = "distill --strategy kd --nbest n --src s --out o"
+    KI = "distill --strategy ki --nbest n --src s --out o --orig-refs r"
+    RERANK = "distill --strategy rerank --nbest n --src s --out o --matrix m --weights w"
+    SWEEP = "oracle --nbest n --refs r --sweep 1,2"
+    CASES = [
+        (f"{KD} --orig-refs r", "distill kd does not read --orig-refs"),
+        (f"{KD} --matrix m", "distill kd does not read --matrix"),
+        (f"{KD} --weights w", "distill kd does not read --weights"),
+        (f"{KD} --top-k-models 3", "distill kd does not read --top-k-models"),
+        (f"{KI} --matrix m", "distill ki does not read --matrix"),
+        (f"{KI} --weights w", "distill ki does not read --weights"),
+        (f"{KI} --top-k-models 0", "distill ki does not read --top-k-models"),
+        (f"{RERANK} --orig-refs r", "distill rerank does not read --orig-refs"),
+        (f"{SWEEP} --mode anti", "oracle --sweep does not read --mode"),
+        (f"{SWEEP} --mode oracle", "oracle --sweep does not read --mode"),
+        ("rerank --matrix m --nbest n --weights w --out o --refs r",
+         "rerank without --report does not read --refs"),
+        (KI.replace(" --orig-refs r", ""), "distill ki requires --orig-refs"),
+        (RERANK.replace(" --matrix m", ""), "distill rerank requires --matrix"),
+        (RERANK.replace(" --weights w", ""), "distill rerank requires --weights"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CASES)
+    def test_a_flag_the_mode_does_not_read_fails(self, tmp_path, monkeypatch, capsys,
+                                                 argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_flag_a_mode_does_not_read_has_a_case(self):
+        messages = {message for _, message in self.CASES}
+        for command, (_, modes) in MODE_FLAGS.items():
+            for mode, reads in modes.items():
+                for dest in {dest for flags in modes.values() for dest in flags} - set(reads):
+                    flag = "--" + dest.replace("_", "-")
+                    assert f"{command} {mode} does not read {flag}" in messages
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("mode", ["a", "w"], ids=[">>", ">"])
+def test_out_to_standard_output_keeps_what_the_shell_wrote(workspace, capsys, mode):
+    argv = ["oracle", "--nbest", workspace / "nbest.txt", "--refs", workspace / "ref0.txt"]
+    _, bleu, _ = run(capsys, *argv, "--out", workspace / "oracle.tsv")
+    log = workspace / "log.txt"
+    log.write_text("earlier\n")
+    with open(log, mode) as stdout:
+        subprocess.run([sys.executable, "-m", "nbdistill", *map(str, argv), "--out", "/dev/stdout"],
+                       stdout=stdout, env=_env(), check=True, timeout=60)
+    earlier = "earlier\n" if mode == "a" else ""
+    assert log.read_text() == earlier + (workspace / "oracle.tsv").read_text() + bleu
+
+
 class TestReferenceCoverage:
     @pytest.fixture
     def short_refs(self, tmp_path, capsys):
@@ -328,7 +389,7 @@ class TestReferenceCoverage:
         [
             "tune --matrix matrix.tsv --nbest nbest.txt --refs ref.txt --out w.tsv",
             "rerank --matrix matrix.tsv --nbest nbest.txt --weights weights.tsv "
-            "--refs ref.txt --out sel.tsv",
+            "--refs ref.txt --report --out sel.tsv",
             "oracle --nbest nbest.txt --refs ref.txt",
             "oracle --nbest nbest.txt --refs ref.txt --sweep 1,2",
             "distill --strategy ki --nbest nbest.txt --src src.txt --orig-refs ref.txt "
@@ -415,11 +476,9 @@ class TestConfigSyntaxErrors:
         with pytest.raises(FormatError) as err:
             PipelineConfig.from_file(tmp_path / name)
         assert err.value.line == line
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-m", "nbdistill", "selftrain", "--config", name],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stderr) == (1, f"error: {name}: line {line}: {message}\n")
 
@@ -432,7 +491,7 @@ def test_readme_commands_parse():
     assert {command.split()[1] for command in commands} == {
         "evaluate", "assemble", "tune", "rerank", "oracle", "distill", "selftrain", "status"}
     for command in commands:
-        build_parser().parse_args(shlex.split(command)[1:])
+        check_mode_flags(build_parser().parse_args(shlex.split(command)[1:]))
 
 
 class TestDeterminism:

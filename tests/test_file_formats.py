@@ -3,9 +3,10 @@
 A valid file of each format is mutated by inserting, deleting and duplicating
 bytes and lines, and read back through the loader's file path.  The loader
 must return or raise a FormatError, and the error must carry the number of a
-line of the file, unless it is about the whole stream.  A config error starts
-with the config's path; one about a JSON key has no line, because the JSON
-decoder gives keys no position.
+line of the file, unless it is about the whole stream.  Every error starts
+with the file's path, except a line count mismatch of reference files, which
+names each file in its text.  A config error about a JSON key has no line,
+because the JSON decoder gives keys no position.
 """
 
 import json
@@ -123,8 +124,7 @@ def test_every_loader_returns_or_raises_a_line_numbered_format_error(case):
         try:
             LOADERS[name](path)
         except FormatError as exc:
-            if name.startswith("config") and "invalid UTF-8" not in str(exc):
-                # invalid UTF-8 names the file inside the text, as for every loader
+            if "line count mismatch" not in str(exc):
                 assert str(exc).startswith(f"{path}: "), str(exc)
             if exc.line is None:
                 assert name == "config.json" or any(text in str(exc) for text in WHOLE_STREAM), \

@@ -15,6 +15,7 @@ from nbdistill.features import NATIVE_FEATURES
 from nbdistill.mira import INIT_MODES, MiraConfig
 from nbdistill.pipeline import (
     CONFIG_KEYS,
+    STAGES,
     HookError,
     IterationState,
     PipelineConfig,
@@ -353,7 +354,7 @@ class TestConfig:
     def test_invalid_utf8_names_the_file_and_the_line(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_bytes(b"[pipeline]\nworkdir = w\xff\n")
-        message = f"line 2: invalid UTF-8 in {str(path)!r}: invalid start byte"
+        message = f"{path}: line 2: invalid UTF-8: invalid start byte"
         with pytest.raises(FormatError) as err:
             PipelineConfig.from_file(path)
         assert (str(err.value), err.value.line) == (message, 2)
@@ -577,7 +578,7 @@ class TestCliMatchesStages:
                 "rerank", "--matrix", itdir / "matrix.dev.tsv",
                 "--nbest", itdir / "nbest.dev.txt", "--weights", itdir / "weights.tsv",
                 "--top-k-models", config.top_k_models,
-                "--refs", ",".join(str(p) for p in config.dev_refs),
+                "--refs", ",".join(str(p) for p in config.dev_refs), "--report",
                 "--out", out / "selections.dev.tsv",
             ],
             "labels.tsv": [
@@ -632,6 +633,26 @@ class TestSelfTrain:
         assert best.iter == 2
         final = workdir / "final.labels.tsv"
         assert final.read_bytes() == Path(states[1].labels_path).read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("nan\n", "line 1: non-finite dev BLEU 'nan'"),
+         ("fifty\n", "line 1: unparseable dev BLEU: 'fifty'"),
+         ("50.0\n51.0\n", "expected one line, got 2"),
+         ("", "expected one line, got 0")],
+        ids=["nan", "word", "two-lines", "empty"],
+    )
+    def test_a_bad_dev_bleu_file_is_named_and_not_recorded(self, tmp_path, text, message):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        itdir = Path(config.workdir) / "iter1"
+        itdir.mkdir(parents=True)
+        (itdir / "dev_bleu.txt").write_text(text)
+        for stage in STAGES:
+            (itdir / f".{stage}.done").touch()
+        with pytest.raises(FormatError) as err:
+            run_selftrain(config)
+        assert str(err.value) == f"{itdir / 'dev_bleu.txt'}: {message}"
+        assert not (Path(config.workdir) / "ledger.jsonl").exists()
 
     def test_resume_after_crash_is_byte_identical(self, tmp_path):
         marker = tmp_path / "crash"
@@ -755,7 +776,7 @@ class TestLedgerValidation:
         entry = json.dumps(self.ENTRY)
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text(entry + "\n" + json.dumps({**self.ENTRY, field: value}) + "\n")
-        message = f"{ledger}: bad ledger entry on line 2: {field} must be"
+        message = f"{ledger}: line 2: bad ledger entry: {field} must be"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             read_ledger(ledger)
         assert cli_main(["status", "--workdir", str(tmp_path)]) == 1
@@ -766,7 +787,7 @@ class TestLedgerValidation:
         entry = json.dumps(self.ENTRY)
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text(entry + "\n" + entry.replace("1.5", "1" * digits) + "\n")
-        message = f"{ledger}: bad ledger entry on line 2: "
+        message = f"{ledger}: line 2: bad ledger entry: "
         with pytest.raises(FormatError, match=f"^{re.escape(message)}") as err:
             read_ledger(ledger)
         assert err.value.line == 2
