@@ -22,35 +22,35 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import metrics
-from .corpus import (
-    LABEL_SUFFIXES, load_file, load_lines, load_nbest, load_reference_files, write_text,
-)
+from .corpus import LABEL_SUFFIXES
 from .mira import INIT_MODES, MiraConfig
 from .pipeline import (
     HookError,
     PipelineConfig,
     assemble_file,
     distill_file,
+    evaluate_file,
+    oracle_file,
     rerank_file,
     run_selftrain,
     split_names,
     status_table,
     tune_file,
 )
-from .rerank import beam_sweep, format_selections, format_sweep, oracle_select
 
 
 # How each command with modes picks its mode, and the flags that only some of
-# its modes read, True where the mode needs it.  Any other is an error.
+# its modes read: True where the mode needs the flag, "or" where it needs one of
+# the flags so marked.  Any other is an error.
 MODE_FLAGS = {
     "distill": (lambda args: args.strategy,
                 {"kd": {}, "ki": {"orig_refs": True},
                  "rerank": {"matrix": True, "weights": True, "top_k_models": False}}),
-    "oracle": (lambda args: "--sweep" if args.sweep else "select",
+    "oracle": (lambda args: "select" if args.sweep is None else "--sweep",
                {"select": {"mode": False}, "--sweep": {}}),
     "rerank": (lambda args: "--report" if args.report else "without --report",
-               {"without --report": {}, "--report": {"refs": False}}),
+               {"without --report": {"top_k_models": False},
+                "--report": {"refs": "or", "top_k_models": "or"}}),
 }
 
 
@@ -63,38 +63,23 @@ def check_mode_flags(args) -> None:
             flag, given = "--" + dest.replace("_", "-"), getattr(args, dest) is not None
             if given and dest not in modes[mode]:
                 raise ValueError(f"{args.command} {mode} does not read {flag}")
-            if modes[mode].get(dest) and not given:
+            if modes[mode].get(dest) is True and not given:
                 raise ValueError(f"{args.command} {mode} requires {flag}")
+        either = [dest for dest, need in modes[mode].items() if need == "or"]
+        if either and all(getattr(args, dest) is None for dest in either):
+            flags = " or ".join("--" + dest.replace("_", "-") for dest in either)
+            raise ValueError(f"{args.command} {mode} requires {flags}")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        write_text(path, text)
-    else:
-        sys.stdout.write(text)
+def _sweep_size(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--sweep takes integers, got {text!r}") from None
 
 
 def cmd_evaluate(args) -> int:
-    hyps = load_lines(args.hyp)
-    ref_files = split_names(args.refs)
-    refs = load_reference_files(ref_files).refs
-    if len(refs) != len(hyps):
-        raise ValueError(
-            f"line count mismatch {len(hyps)} vs {len(refs)} (hypothesis file "
-            f"{args.hyp!r}: {len(hyps)}, references: {len(refs)})"
-        )
-    k = len(ref_files)
-    if args.metric == "bleu":
-        stats = metrics.corpus_stats(hyps, refs)
-        value = metrics.corpus_bleu(stats).value
-        label = "BLEU"
-        signature = f"nrefs:{k}|case:mixed|eff:no|tok:13a|smooth:exp"
-    else:
-        value = metrics.corpus_chrf(zip(hyps, refs)).value
-        label = "chrF"
-        signature = f"nrefs:{k}|case:mixed|nc:{metrics.CHRF_CHAR_ORDER}|nw:0|beta:{int(metrics.CHRF_BETA)}|space:collapse"
-    print(f"{label}\t{value:.4f}")
-    print(f"#signature\t{signature}")
+    sys.stdout.write(evaluate_file(args.hyp, args.refs, args.metric))
     return 0
 
 
@@ -105,22 +90,19 @@ def cmd_assemble(args) -> int:
         if not path:
             raise ValueError(f"--scores expects NAME=FILE, got {item!r}")
         scores.append((name, path))
-    passthrough, native = split_names(args.passthrough), split_names(args.native)
-    assemble_file(args.nbest, args.out, passthrough, native, scores)
+    assemble_file(args.nbest, args.out, args.passthrough, args.native, scores)
     return 0
 
 
 def cmd_tune(args) -> int:
     config = MiraConfig(c=args.c, epochs=args.epochs, seed=args.seed, init=args.init)
-    tune_file(args.matrix, args.nbest, split_names(args.refs), config, args.out)
+    tune_file(args.matrix, args.nbest, args.refs, config, args.out)
     return 0
 
 
 def cmd_rerank(args) -> int:
-    result, mask = rerank_file(
-        args.matrix, args.nbest, args.weights, args.out,
-        models=args.top_k_models, refs=split_names(args.refs or ""),
-    )
+    result, mask = rerank_file(args.matrix, args.nbest, args.weights, args.out,
+                               args.top_k_models, args.refs)
     if args.report:
         if result.corpus_score is not None:
             print(f"BLEU\t{result.corpus_score.value:.4f}")
@@ -130,30 +112,21 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    corpus = load_file(args.nbest, load_nbest)
-    refs = load_reference_files(split_names(args.refs))
+    sweep = None if args.sweep is None else [_sweep_size(n) for n in args.sweep]
     mode = "anti_oracle" if args.mode == "anti" else "oracle"
-    print(
-        "note: greedy per-sentence selection by smoothed sentence BLEU "
-        "(not a corpus-level oracle)",
-        file=sys.stderr,
-    )
-    if args.sweep:
-        rows, short_lists = beam_sweep(corpus, refs, [int(n) for n in split_names(args.sweep)])
-        _emit(format_sweep(rows), args.out)
-        if short_lists:
-            print(f"warning: {short_lists} truncated list(s)", file=sys.stderr)
-        return 0
-    result = oracle_select(corpus, refs, mode=mode)
-    _emit(format_selections(result), args.out)
-    print(f"BLEU\t{result.corpus_score.value:.4f}")
+    bleu, short_lists = oracle_file(args.nbest, args.refs, args.out, mode, sweep)
+    print("note: greedy per-sentence selection by smoothed sentence BLEU "
+          "(not a corpus-level oracle)", file=sys.stderr)
+    if short_lists:
+        print(f"warning: {short_lists} truncated list(s)", file=sys.stderr)
+    if bleu is not None:
+        print(f"BLEU\t{bleu:.4f}")
     return 0
 
 
 def cmd_distill(args) -> int:
-    refs = split_names(args.orig_refs or "")
     for p in distill_file(args.strategy, args.nbest, args.src, args.out, args.format,
-                          args.matrix, args.weights, args.top_k_models, refs):
+                          args.matrix, args.weights, args.top_k_models, args.orig_refs):
         print(p)
     return 0
 
@@ -182,14 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="corpus BLEU/chrF of a hypothesis file")
     p.add_argument("--hyp", required=True, help="hypothesis file, one sentence per line")
-    p.add_argument("--refs", required=True, help="reference file(s), comma-separated")
+    p.add_argument("--refs", required=True, type=split_names, help="reference file(s), comma-separated")
     p.add_argument("--metric", choices=("bleu", "chrf"), default="bleu")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("assemble", help="build the per-hypothesis feature matrix")
     p.add_argument("--nbest", required=True)
-    p.add_argument("--native", default="", help="comma list of mbr_bleu,mbr_chrf,len,len_ratio")
-    p.add_argument("--passthrough", default="", help="comma list of n-best score names ('total' reserved)")
+    p.add_argument("--native", default="", type=split_names, help="comma list of mbr_bleu,mbr_chrf,len,len_ratio")
+    p.add_argument("--passthrough", default="", type=split_names, help="comma list of n-best score names ('total' reserved)")
     p.add_argument("--scores", action="append", metavar="NAME=FILE",
                    help="external score table (repeatable)")
     p.add_argument("--out", required=True)
@@ -198,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="learn reranking weights with batch k-best MIRA")
     p.add_argument("--matrix", required=True)
     p.add_argument("--nbest", required=True)
-    p.add_argument("--refs", required=True, help="tune reference file(s), comma-separated")
+    p.add_argument("--refs", required=True, type=split_names, help="tune reference file(s), comma-separated")
     p.add_argument("--c", type=float, default=MiraConfig.c)
     p.add_argument("--epochs", type=int, default=MiraConfig.epochs)
     p.add_argument("--seed", type=int, default=MiraConfig.seed)
@@ -213,15 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k-models", type=int, default=None,
                    help="restrict to the k largest-magnitude features")
     p.add_argument("--out", required=True, help="selections TSV (SID RANK TEXT)")
-    p.add_argument("--refs", default=None)
+    p.add_argument("--refs", default=None, type=split_names)
     p.add_argument("--report", action="store_true", help="print corpus BLEU of the selection")
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("oracle", help="greedy oracle/anti-oracle selection and beam sweeps")
     p.add_argument("--nbest", required=True)
-    p.add_argument("--refs", required=True)
+    p.add_argument("--refs", required=True, type=split_names)
     p.add_argument("--mode", choices=("oracle", "anti"), default=None, help="default: oracle")
-    p.add_argument("--sweep", default=None, help="comma list of truncation sizes, e.g. 1,2,4,8")
+    p.add_argument("--sweep", default=None, type=split_names, help="comma list of truncation sizes, e.g. 1,2,4,8")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 
@@ -232,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None)
     p.add_argument("--weights", default=None)
     p.add_argument("--top-k-models", type=int, default=None)
-    p.add_argument("--orig-refs", default=None, help="original labels (for --strategy ki)")
+    p.add_argument("--orig-refs", default=None, type=split_names, help="original labels (for --strategy ki)")
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--format", choices=tuple(LABEL_SUFFIXES), default="tsv")
     p.set_defaults(func=cmd_distill)

@@ -271,12 +271,12 @@ def open_out(path: str | Path) -> Iterator[TextIO]:
     manager.  A regular file is written under a temporary name in its
     directory, which replaces ``path`` only when the block ends without an
     exception, so an interrupted write leaves the old file or none.  A link
-    or a device is written in place, and the file of standard output
-    (``/dev/stdout``) through fd 1, which keeps what a shell's ``>>`` put there."""
+    or a device is written in place, the file of standard output or error
+    through fd 1 or 2, which keeps what a shell's ``>>`` put there."""
     p = Path(path)
     if p.is_symlink() or (p.exists() and not p.is_file()):
-        stdout = p.exists() and os.path.samestat(p.stat(), os.fstat(1))
-        with open(1 if stdout else p, "w", encoding="utf-8", newline="\n", closefd=not stdout) as f:
+        target = next((fd for fd in (1, 2) if p.exists() and os.path.samestat(p.stat(), os.fstat(fd))), p)
+        with open(target, "w", encoding="utf-8", newline="\n", closefd=target is p) as f:
             yield f
         return
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")

@@ -1,8 +1,8 @@
 """Self-training orchestration, and the file-level steps it shares with the CLI.
 
-The file-level steps ``assemble_file``, ``tune_file``, ``rerank_file`` and
-``distill_file`` (every strategy's labels) back both the CLI commands and the
-self-training stages, so a stage writes the same bytes as its command.
+The six file-level steps ``evaluate_file``, ``assemble_file``, ``tune_file``,
+``rerank_file``, ``oracle_file`` and ``distill_file`` each back one CLI command;
+the self-training stages run the same steps, so each writes its command's bytes.
 
 Each iteration shells out to user-supplied hook commands for the expensive,
 model-dependent work (n-best generation, external feature scoring) and runs
@@ -37,6 +37,7 @@ import math
 import shlex
 import shutil
 import subprocess
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -49,6 +50,7 @@ from .corpus import (
     _parse_float,
     label_paths,
     load_file,
+    load_lines,
     load_nbest,
     load_reference_files,
     load_scores,
@@ -60,9 +62,11 @@ from .corpus import (
 )
 from .distill import kd_top1, ki_select, rerank_labels
 from .features import FeatureMatrix, assemble_matrix, load_matrix, write_matrix, NATIVE_FEATURES
+from .metrics import CHRF_BETA, CHRF_CHAR_ORDER, corpus_bleu, corpus_chrf, corpus_stats
 from .mira import MiraConfig, TuneRun, WeightVector, load_weights, tune_mira, write_weights
 from .rerank import (
-    RerankResult, SelectionMask, format_selections, rank_models, rerank, select_models,
+    RerankResult, SelectionMask, beam_sweep, format_selections, format_sweep, oracle_select,
+    rank_models, rerank, select_models,
 )
 
 DATA_SETS = ("tune", "dev", "transfer")
@@ -342,6 +346,22 @@ def _append_ledger(path: Path, state: IterationState) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+def evaluate_file(hyp: str | Path, refs: Sequence[str | Path], metric: str = "bleu") -> str:
+    """The corpus ``metric`` ("bleu" or "chrf") of a hypothesis file against
+    ``refs``, as a score line and a ``#signature`` line."""
+    hyps, loaded = load_lines(hyp), load_reference_files(refs).refs
+    if len(loaded) != len(hyps):
+        raise ValueError(f"line count mismatch {len(hyps)} vs {len(loaded)} (hypothesis file "
+                         f"{str(hyp)!r}: {len(hyps)}, references: {len(loaded)})")
+    if metric == "bleu":
+        value, label = corpus_bleu(corpus_stats(hyps, loaded)).value, "BLEU"
+        signature = f"nrefs:{len(refs)}|case:mixed|eff:no|tok:13a|smooth:exp"
+    else:
+        value, label = corpus_chrf(zip(hyps, loaded)).value, "chrF"
+        signature = f"nrefs:{len(refs)}|case:mixed|nc:{CHRF_CHAR_ORDER}|nw:0|beta:{int(CHRF_BETA)}|space:collapse"
+    return f"{label}\t{value:.4f}\n#signature\t{signature}\n"
+
+
 def assemble_file(
     nbest: str | Path, out: str | Path, passthrough: Sequence[str] = (),
     native: Sequence[str] = (), scores: Sequence[Tuple[str, str | Path]] = (),
@@ -388,6 +408,28 @@ def rerank_file(
     result = rerank(*inputs, refs=load_reference_files(refs) if refs else None)
     write_text(out, format_selections(result))
     return result, inputs[-1]
+
+
+def oracle_file(
+    nbest: str | Path, refs: Sequence[str | Path], out: Optional[str | Path] = None,
+    mode: str = "oracle", sweep: Optional[Sequence[int]] = None,
+) -> Tuple[Optional[float], int]:
+    """Write the greedy ``mode`` selections of an n-best file, or with
+    ``sweep`` sizes its beam-sweep table, to ``out`` or else standard output.
+    Returns the selections' corpus BLEU (None for a sweep) and the number of
+    lists shorter than a sweep size."""
+    corpus, loaded = load_file(nbest, load_nbest), load_reference_files(refs)
+    if sweep is not None:
+        rows, short_lists = beam_sweep(corpus, loaded, sweep)
+        text, bleu = format_sweep(rows), None
+    else:
+        result = oracle_select(corpus, loaded, mode=mode)
+        text, bleu, short_lists = format_selections(result), result.corpus_score.value, 0
+    if out:
+        write_text(out, text)
+    else:
+        sys.stdout.write(text)
+    return bleu, short_lists
 
 
 def distill_file(

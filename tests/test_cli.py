@@ -265,6 +265,22 @@ class TestOracleCli:
         assert code == 0
 
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("", "no sweep sizes given"),
+        ("2,1", "sweep sizes must be non-decreasing"),
+        ("0", "sweep sizes must be positive"),
+    ], ids=["empty", "decreasing", "zero"])
+    def test_bad_sweep_sizes_fail(self, workspace, capsys, sweep, message):
+        argv = ["oracle", "--nbest", workspace / "nbest.txt", "--refs", workspace / "ref0.txt"]
+        assert run(capsys, *argv, "--sweep", sweep) == (1, "", f"error: {message}\n")
+
+    def test_sweep_size_that_is_no_integer_fails_before_reading(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *"oracle --nbest n --refs r --sweep 1,x".split()) == (
+            1, "", "error: --sweep takes integers, got 'x'\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDistillCli:
     def test_kd_tsv(self, workspace, capsys):
         code, out, _ = run(
@@ -333,9 +349,12 @@ class TestModeFlags:
         (f"{SWEEP} --mode oracle", "oracle --sweep does not read --mode"),
         ("rerank --matrix m --nbest n --weights w --out o --refs r",
          "rerank without --report does not read --refs"),
+        ("oracle --nbest n --refs r --sweep= --mode anti", "oracle --sweep does not read --mode"),
         (KI.replace(" --orig-refs r", ""), "distill ki requires --orig-refs"),
         (RERANK.replace(" --matrix m", ""), "distill rerank requires --matrix"),
         (RERANK.replace(" --weights w", ""), "distill rerank requires --weights"),
+        ("rerank --matrix m --nbest n --weights w --out o --report",
+         "rerank --report requires --refs or --top-k-models"),
     ]
 
     @pytest.mark.parametrize("argv, message", CASES)
@@ -353,19 +372,34 @@ class TestModeFlags:
                     flag = "--" + dest.replace("_", "-")
                     assert f"{command} {mode} does not read {flag}" in messages
 
+    def test_every_flag_a_mode_needs_has_a_case(self):
+        messages = {message for _, message in self.CASES}
+        for command, (_, modes) in MODE_FLAGS.items():
+            for mode, reads in modes.items():
+                either = [dest for dest, need in reads.items() if need == "or"]
+                needs = [[dest] for dest, need in reads.items() if need is True] + [either] * bool(either)
+                for dests in needs:
+                    flags = " or ".join("--" + dest.replace("_", "-") for dest in dests)
+                    assert f"{command} {mode} requires {flags}" in messages
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+
+@pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="no /dev/stdout, /dev/stderr")
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
 @pytest.mark.parametrize("mode", ["a", "w"], ids=[">>", ">"])
-def test_out_to_standard_output_keeps_what_the_shell_wrote(workspace, capsys, mode):
+def test_out_to_standard_output_keeps_what_the_shell_wrote(workspace, capsys, mode, stream):
+    """``--out /dev/stdout`` or ``/dev/stderr`` appends to the stream's file
+    after what the shell put there, followed by what the command prints to it."""
     argv = ["oracle", "--nbest", workspace / "nbest.txt", "--refs", workspace / "ref0.txt"]
-    _, bleu, _ = run(capsys, *argv, "--out", workspace / "oracle.tsv")
+    _, bleu, note = run(capsys, *argv, "--out", workspace / "oracle.tsv")
     log = workspace / "log.txt"
     log.write_text("earlier\n")
-    with open(log, mode) as stdout:
-        subprocess.run([sys.executable, "-m", "nbdistill", *map(str, argv), "--out", "/dev/stdout"],
-                       stdout=stdout, env=_env(), check=True, timeout=60)
+    with open(log, mode) as f:
+        subprocess.run([sys.executable, "-m", "nbdistill", *map(str, argv), "--out", f"/dev/{stream}"],
+                       env=_env(), check=True, timeout=60,
+                       **{"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: f})
     earlier = "earlier\n" if mode == "a" else ""
-    assert log.read_text() == earlier + (workspace / "oracle.tsv").read_text() + bleu
+    printed = bleu if stream == "stdout" else note
+    assert log.read_text() == earlier + (workspace / "oracle.tsv").read_text() + printed
 
 
 class TestReferenceCoverage:
@@ -481,6 +515,17 @@ class TestConfigSyntaxErrors:
             cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stderr) == (1, f"error: {name}: line {line}: {message}\n")
+
+
+def test_cli_reads_scores_and_writes_only_through_pipeline_steps():
+    """Each command makes one ``pipeline`` call, so the CLI binds no loader,
+    scorer, selector or writer of its own."""
+    import nbdistill.cli as cli
+
+    forbidden = {"corpus_stats", "corpus_bleu", "corpus_chrf", "oracle_select", "beam_sweep",
+                 "write_text"}
+    names = {getattr(value, "__name__", name) for name, value in vars(cli).items()}
+    assert {n for n in names if n.startswith(("load_", "nbdistill.")) or n in forbidden} == set()
 
 
 def test_readme_commands_parse():

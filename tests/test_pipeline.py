@@ -21,13 +21,15 @@ from nbdistill.pipeline import (
     PipelineConfig,
     _read_sections,
     best_iteration,
+    evaluate_file,
+    oracle_file,
     read_ledger,
     run_iteration,
     run_selftrain,
     status_table,
     stopping_reason,
 )
-from synth import build_pipeline_fixtures
+from synth import build_pipeline_fixtures, make_corpus, nbest_lines, write_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -591,6 +593,49 @@ class TestCliMatchesStages:
         for name, argv in commands.items():
             assert cli_main([str(a) for a in argv]) == 0, name
             assert (out / name).read_bytes() == (itdir / name).read_bytes(), name
+
+
+class TestCliMatchesSteps:
+    """``evaluate`` and ``oracle`` print or write what their file-level steps
+    print or write when called in-process."""
+
+    REFS = ["ref0.txt", "ref1.txt"]
+
+    @pytest.fixture
+    def lists(self, tmp_path, monkeypatch):
+        _, refs, hyps = make_corpus(8, 4, seed=23, num_refs=2)
+        write_lines(tmp_path / "nbest.txt", nbest_lines(hyps))
+        write_lines(tmp_path / "hyp.txt", [h[1] for h in hyps])
+        for k, name in enumerate(self.REFS):
+            write_lines(tmp_path / name, [r[k] for r in refs])
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("metric", ["bleu", "chrf"])
+    def test_evaluate(self, lists, capsys, metric):
+        argv = ["evaluate", "--hyp", "hyp.txt", "--refs", ",".join(self.REFS), "--metric", metric]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == evaluate_file("hyp.txt", self.REFS, metric)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize(
+        "flags, kwargs",
+        [([], {}), (["--mode", "anti"], {"mode": "anti_oracle"}),
+         (["--sweep", "1,2,4"], {"sweep": [1, 2, 4]})],
+        ids=["select", "anti", "sweep"],
+    )
+    def test_oracle(self, lists, capsys, flags, kwargs, to_file):
+        out = ["--out", "cli.tsv"] if to_file else []
+        assert cli_main(["oracle", "--nbest", "nbest.txt", "--refs", ",".join(self.REFS),
+                         *flags, *out]) == 0
+        printed = capsys.readouterr().out
+        bleu, _ = oracle_file("nbest.txt", self.REFS, "step.tsv" if to_file else None, **kwargs)
+        report = "" if bleu is None else f"BLEU\t{bleu:.4f}\n"
+        if to_file:
+            assert (lists / "cli.tsv").read_bytes() == (lists / "step.tsv").read_bytes()
+            assert printed == report
+        else:
+            assert printed == capsys.readouterr().out + report
 
 
 class TestSelfTrain:
