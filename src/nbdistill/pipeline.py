@@ -400,12 +400,12 @@ def _rerank_inputs(
 
 def rerank_file(
     matrix: str | Path, nbest: str | Path, weights: str | Path, out: str | Path,
-    models: Optional[int] = None, refs: Sequence[str | Path] = (),
+    models: Optional[int] = None, refs: Optional[Sequence[str | Path]] = None,
 ) -> Tuple[RerankResult, Optional[SelectionMask]]:
     """Write the ``SID<TAB>RANK<TAB>TEXT`` selections of the reranker and
     return them with the mask applied; ``refs`` add the corpus BLEU."""
     inputs = _rerank_inputs(matrix, nbest, weights, models)
-    result = rerank(*inputs, refs=load_reference_files(refs) if refs else None)
+    result = rerank(*inputs, refs=None if refs is None else load_reference_files(refs))
     write_text(out, format_selections(result))
     return result, inputs[-1]
 

@@ -217,6 +217,18 @@ class TestAssembleTuneRerank:
         assert sid == "0" and rank in "0123" and text
 
 
+    def test_report_with_an_empty_reference_list_fails(self, workspace, capsys):
+        run(capsys, "assemble", "--nbest", workspace / "nbest.txt", "--passthrough", "total",
+            "--out", workspace / "matrix.tsv")
+        (workspace / "weights.tsv").write_text("total\t1.0\n")
+        assert run(
+            capsys, "rerank", "--matrix", workspace / "matrix.tsv",
+            "--nbest", workspace / "nbest.txt", "--weights", workspace / "weights.tsv",
+            "--out", workspace / "selections.tsv", "--refs", ",", "--report",
+        ) == (1, "", "error: at least one reference stream required\n")
+        assert not (workspace / "selections.tsv").exists()
+
+
 class TestTuneDefaults:
     def test_parsed_defaults_build_the_default_config(self):
         args = build_parser().parse_args(
@@ -242,7 +254,8 @@ class TestOracleCli:
         )
         assert code == 0
         assert out.startswith("BLEU\t")
-        assert "greedy" in err
+        assert err == ("note: greedy per-sentence selection by smoothed sentence BLEU "
+                       "(not a corpus-level oracle)\n")
         assert len((workspace / "oracle.tsv").read_text().splitlines()) == 10
 
     def test_sweep_tsv(self, workspace, capsys):
