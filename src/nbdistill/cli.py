@@ -26,7 +26,9 @@ from .corpus import LABEL_SUFFIXES
 from .mira import INIT_MODES, MiraConfig
 from .pipeline import (
     HookError,
+    METRICS,
     PipelineConfig,
+    STRATEGIES,
     assemble_file,
     distill_file,
     evaluate_file,
@@ -87,7 +89,7 @@ def cmd_assemble(args) -> int:
     scores = []
     for item in args.scores or []:
         name, _, path = item.partition("=")
-        if not path:
+        if not (name and path):
             raise ValueError(f"--scores expects NAME=FILE, got {item!r}")
         scores.append((name, path))
     assemble_file(args.nbest, args.out, args.passthrough, args.native, scores)
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="corpus BLEU/chrF of a hypothesis file")
     p.add_argument("--hyp", required=True, help="hypothesis file, one sentence per line")
     p.add_argument("--refs", required=True, type=split_names, help="reference file(s), comma-separated")
-    p.add_argument("--metric", choices=("bleu", "chrf"), default="bleu")
+    p.add_argument("--metric", choices=tuple(METRICS), default="bleu")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("assemble", help="build the per-hypothesis feature matrix")
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("distill", help="emit pseudo-labels for a transfer set")
-    p.add_argument("--strategy", choices=("kd", "ki", "rerank"), required=True)
+    p.add_argument("--strategy", choices=tuple(STRATEGIES), required=True)
     p.add_argument("--nbest", required=True)
     p.add_argument("--src", required=True, help="source sentences, aligned with the n-best list")
     p.add_argument("--matrix", default=None)

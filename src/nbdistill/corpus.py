@@ -34,9 +34,16 @@ import os
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
 SEP = " ||| "
+
+
+def known(name: str, names: Collection[str], what: str) -> str:
+    """``name`` if it is one of ``names``; else a ValueError that lists them."""
+    if name not in names:
+        raise ValueError(f"unknown {what} {name!r}: expected one of {', '.join(names)}")
+    return name
 
 
 class FormatError(ValueError):
@@ -364,9 +371,8 @@ LABEL_SUFFIXES = {"tsv": (".tsv",), "parallel": (".src", ".tgt")}
 
 def label_paths(prefix: str | Path, fmt: str) -> List[Path]:
     """The files that pseudo-labels in format ``fmt`` are written to."""
-    if fmt not in LABEL_SUFFIXES:
-        raise ValueError(f"unknown output format {fmt!r}")
-    return [Path(f"{prefix}{suffix}") for suffix in LABEL_SUFFIXES[fmt]]
+    suffixes = LABEL_SUFFIXES[known(fmt, LABEL_SUFFIXES, "label format")]
+    return [Path(f"{prefix}{suffix}") for suffix in suffixes]
 
 
 def write_pseudo_labels(

@@ -1,14 +1,14 @@
-"""Pseudo-label generation strategies.
+"""Pseudo-label generation strategies, one per key of ``pipeline.STRATEGIES``.
 
-Three ways to pick one target string per source sentence from an n-best list:
+Each picks one target string per source sentence from an n-best list:
 
-* ``kd_top1``  -- the generating model's rank-0 hypothesis (sequence-level
-  distillation baseline).
-* ``ki``       -- the hypothesis with the highest sentence BLEU against the
-  original labels (sequence-level knowledge interpolation; needs references,
-  so it only applies to labelled data).
-* ``rerank``   -- the log-linear reranker's argmax under tuned, optionally
-  masked weights; works on unlabelled data too.
+* ``kd``: ``kd_top1``, the generating model's rank-0 hypothesis
+  (sequence-level distillation baseline).
+* ``ki``: ``ki_select``, the hypothesis with the highest sentence BLEU against
+  the original labels (sequence-level knowledge interpolation; needs
+  references, so it only applies to labelled data).
+* ``rerank``: ``rerank_labels``, the log-linear reranker's argmax under tuned,
+  optionally masked weights; works on unlabelled data too.
 """
 
 from __future__ import annotations

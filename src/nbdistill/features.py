@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import ExternalScoreTable, FormatError, NBestCorpus, _sentence_list, read_fields
+from .corpus import ExternalScoreTable, FormatError, NBestCorpus, _sentence_list, known, read_fields
 from .metrics import (
     CHRF_CHAR_ORDER,
     NGRAM_ORDER,
@@ -170,8 +170,7 @@ def assemble_matrix(
     if not names:
         raise ValueError("zero features configured")
     for feature in native:
-        if feature not in NATIVE_FEATURES:
-            raise ValueError(f"unknown native feature {feature!r}")
+        known(feature, NATIVE_FEATURES, "native feature")
     seen = set()
     for name in names:
         if name in seen:

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, read_fields
+from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, known, read_fields
 from .features import FeatureMatrix
 from .metrics import hyp_stats
 
@@ -62,8 +62,7 @@ class MiraConfig:
             raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}")
+        known(self.init, INIT_MODES, "init mode")
 
 
 @dataclass(frozen=True)

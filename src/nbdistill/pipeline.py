@@ -48,6 +48,7 @@ from .corpus import (
     FormatError,
     NBestCorpus,
     _parse_float,
+    known,
     label_paths,
     load_file,
     load_lines,
@@ -65,8 +66,8 @@ from .features import FeatureMatrix, assemble_matrix, load_matrix, write_matrix,
 from .metrics import CHRF_BETA, CHRF_CHAR_ORDER, corpus_bleu, corpus_chrf, corpus_stats
 from .mira import MiraConfig, TuneRun, WeightVector, load_weights, tune_mira, write_weights
 from .rerank import (
-    RerankResult, SelectionMask, beam_sweep, format_selections, format_sweep, oracle_select,
-    rank_models, rerank, select_models,
+    ORACLE_MODES, RerankResult, SelectionMask, beam_sweep, format_selections, format_sweep,
+    oracle_select, rank_models, rerank, select_models,
 )
 
 DATA_SETS = ("tune", "dev", "transfer")
@@ -102,13 +103,11 @@ class PipelineConfig:
             raise ValueError("min_delta must be >= 0")
         if self.top_k_models < 1:
             raise ValueError("top_k_models must be >= 1")
-        if self.label_format not in LABEL_SUFFIXES:
-            raise ValueError(f"unknown label_format {self.label_format!r}")
+        known(self.label_format, LABEL_SUFFIXES, "label format")
         if not (self.passthrough or self.native or self.external):
             raise ValueError("no features declared")
         for name in self.native:
-            if name not in NATIVE_FEATURES:
-                raise ValueError(f"unknown native feature {name!r}")
+            known(name, NATIVE_FEATURES, "native feature")
         if "generate_nbest" not in self.hooks:
             raise ValueError("missing hook 'generate_nbest'")
         for name in self.external:
@@ -346,20 +345,31 @@ def _append_ledger(path: Path, state: IterationState) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+# The modes of two file-level steps.  Entries call layer functions by this
+# module's names, so that a function replaced in this module is the one called.
+METRICS = {
+    "bleu": ("BLEU", lambda hyps, refs: corpus_bleu(corpus_stats(hyps, refs)).value,
+             "eff:no|tok:13a|smooth:exp"),
+    "chrf": ("chrF", lambda hyps, refs: corpus_chrf(zip(hyps, refs)).value,
+             f"nc:{CHRF_CHAR_ORDER}|nw:0|beta:{int(CHRF_BETA)}|space:collapse"),
+}
+STRATEGIES = {
+    "kd": ((), lambda nbest, args: kd_top1(load_file(nbest, load_nbest))),
+    "ki": (("refs",), lambda nbest, args: ki_select(
+        load_file(nbest, load_nbest), load_reference_files(args["refs"]))),
+    "rerank": (("matrix", "weights"), lambda nbest, args: rerank_labels(
+        *_rerank_inputs(args["matrix"], nbest, args["weights"], args["models"]))),
+}
+
+
 def evaluate_file(hyp: str | Path, refs: Sequence[str | Path], metric: str = "bleu") -> str:
-    """The corpus ``metric`` ("bleu" or "chrf") of a hypothesis file against
-    ``refs``, as a score line and a ``#signature`` line."""
+    """The corpus ``METRICS`` score of ``hyp`` against ``refs`` and its ``#signature`` line."""
+    label, score, signature = METRICS[known(metric, METRICS, "metric")]
     hyps, loaded = load_lines(hyp), load_reference_files(refs).refs
     if len(loaded) != len(hyps):
         raise ValueError(f"line count mismatch {len(hyps)} vs {len(loaded)} (hypothesis file "
                          f"{str(hyp)!r}: {len(hyps)}, references: {len(loaded)})")
-    if metric == "bleu":
-        value, label = corpus_bleu(corpus_stats(hyps, loaded)).value, "BLEU"
-        signature = f"nrefs:{len(refs)}|case:mixed|eff:no|tok:13a|smooth:exp"
-    else:
-        value, label = corpus_chrf(zip(hyps, loaded)).value, "chrF"
-        signature = f"nrefs:{len(refs)}|case:mixed|nc:{CHRF_CHAR_ORDER}|nw:0|beta:{int(CHRF_BETA)}|space:collapse"
-    return f"{label}\t{value:.4f}\n#signature\t{signature}\n"
+    return f"{label}\t{score(hyps, loaded):.4f}\n#signature\tnrefs:{len(refs)}|case:mixed|{signature}\n"
 
 
 def assemble_file(
@@ -418,6 +428,7 @@ def oracle_file(
     ``sweep`` sizes its beam-sweep table, to ``out`` or else standard output.
     Returns the selections' corpus BLEU (None for a sweep) and the number of
     lists shorter than a sweep size."""
+    known(mode, ORACLE_MODES, "oracle mode")
     corpus, loaded = load_file(nbest, load_nbest), load_reference_files(refs)
     if sweep is not None:
         rows, short_lists = beam_sweep(corpus, loaded, sweep)
@@ -437,13 +448,14 @@ def distill_file(
     matrix: Optional[str | Path] = None, weights: Optional[str | Path] = None,
     models: Optional[int] = None, refs: Sequence[str | Path] = (),
 ) -> List[Path]:
-    """Write the kd, ki (nearest ``refs``) or rerank labels of ``src``; returns the paths."""
-    if strategy == "rerank":
-        labels = rerank_labels(*_rerank_inputs(matrix, nbest, weights, models))
-    elif strategy == "kd":
-        labels = kd_top1(load_file(nbest, load_nbest))
-    else:
-        labels = ki_select(load_file(nbest, load_nbest), load_reference_files(refs))
+    """Write the ``STRATEGIES`` labels (ki: nearest ``refs``) of ``src``; returns the paths."""
+    needs, labels_of = STRATEGIES[known(strategy, STRATEGIES, "strategy")]
+    known(fmt, LABEL_SUFFIXES, "label format")
+    args = {"matrix": matrix, "weights": weights, "models": models, "refs": refs}
+    for name in needs:
+        if not args[name]:
+            raise ValueError(f"strategy {strategy!r} needs the {name!r} argument")
+    labels = labels_of(nbest, args)
     return write_pseudo_labels(load_file(src, load_sources), labels, out_prefix, fmt)
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import NBestCorpus, ReferenceSet
+from .corpus import NBestCorpus, ReferenceSet, known
 from .features import FeatureMatrix
 from .metrics import BleuScore, HypStats, corpus_bleu, corpus_stats, hyp_stats
 from .mira import WeightVector
@@ -116,8 +116,7 @@ def oracle_select(
     mode: str = "oracle",
 ) -> RerankResult:
     """Greedy per-sentence best (oracle) or worst (anti-oracle) selection."""
-    if mode not in ORACLE_MODES:
-        raise ValueError(f"mode must be one of {ORACLE_MODES}")
+    known(mode, ORACLE_MODES, "oracle mode")
     table = hyp_stats(corpus.texts, refs.refs)
     best, worst = _extremes(table, corpus.n_max)
     selections = tuple((best if mode == "oracle" else worst).tolist())

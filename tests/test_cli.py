@@ -1,4 +1,5 @@
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from nbdistill.cli import MODE_FLAGS, build_parser, check_mode_flags, main
 from nbdistill.corpus import FormatError
 from nbdistill.mira import MiraConfig
-from nbdistill.pipeline import PipelineConfig
+from nbdistill.pipeline import STRATEGIES, PipelineConfig
 from synth import make_corpus, nbest_lines, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -181,13 +182,13 @@ class TestAssembleTuneRerank:
             assert (code, err) == (0, "")
         assert (workspace / "spaced.tsv").read_bytes() == (workspace / "plain.tsv").read_bytes()
 
-    def test_assemble_bad_scores_spec(self, workspace, capsys):
-        code, _, err = run(
+    @pytest.mark.parametrize("spec", ["justafile.tsv", "=s.tsv", "lm=", "="])
+    def test_assemble_bad_scores_spec(self, workspace, capsys, spec):
+        assert run(
             capsys, "assemble", "--nbest", workspace / "nbest.txt",
-            "--scores", "justafile.tsv", "--out", workspace / "m.tsv",
-        )
-        assert code == 1
-        assert "NAME=FILE" in err
+            "--scores", spec, "--out", workspace / "m.tsv",
+        ) == (1, "", f"error: --scores expects NAME=FILE, got {spec!r}\n")
+        assert not (workspace / "m.tsv").exists()
 
     def test_tune_then_rerank_report(self, workspace, capsys):
         self.assemble(workspace, capsys)
@@ -541,15 +542,24 @@ def test_cli_reads_scores_and_writes_only_through_pipeline_steps():
     assert {n for n in names if n.startswith(("load_", "nbdistill.")) or n in forbidden} == set()
 
 
+README = (SRC.parent / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_commands_parse():
-    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [line for line in block.replace("\\\n", " ").splitlines()
+    """Every ``nbdistill`` command in the README's fenced blocks, with its
+    continuation lines joined, parses and passes the mode-flag check."""
+    blocks = README.split("```")[1::2]
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("nbdistill ")]
     assert {command.split()[1] for command in commands} == {
         "evaluate", "assemble", "tune", "rerank", "oracle", "distill", "selftrain", "status"}
     for command in commands:
         check_mode_flags(build_parser().parse_args(shlex.split(command)[1:]))
+
+
+def test_readme_flag_table_and_mode_flags_name_the_strategies():
+    rows = re.findall(r"^\| `distill --strategy (\S+)` \|", README, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(MODE_FLAGS["distill"][1]) == sorted(STRATEGIES)
 
 
 class TestDeterminism:

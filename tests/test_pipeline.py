@@ -8,19 +8,24 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import nbdistill.pipeline as pipeline
 from nbdistill.cli import main as cli_main
 from nbdistill.metrics import corpus_bleu, corpus_stats
-from nbdistill.corpus import LABEL_SUFFIXES, FormatError
-from nbdistill.features import NATIVE_FEATURES
+from nbdistill.corpus import LABEL_SUFFIXES, FormatError, ReferenceSet, label_paths, load_nbest
+from nbdistill.features import NATIVE_FEATURES, assemble_matrix
 from nbdistill.mira import INIT_MODES, MiraConfig
 from nbdistill.pipeline import (
     CONFIG_KEYS,
+    METRICS,
     STAGES,
+    STRATEGIES,
     HookError,
     IterationState,
     PipelineConfig,
     _read_sections,
+    assemble_file,
     best_iteration,
+    distill_file,
     evaluate_file,
     oracle_file,
     read_ledger,
@@ -28,7 +33,9 @@ from nbdistill.pipeline import (
     run_selftrain,
     status_table,
     stopping_reason,
+    tune_file,
 )
+from nbdistill.rerank import oracle_select
 from synth import build_pipeline_fixtures, make_corpus, nbest_lines, write_lines
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -636,6 +643,113 @@ class TestCliMatchesSteps:
             assert printed == report
         else:
             assert printed == capsys.readouterr().out + report
+
+
+def _config(**changes):
+    """A config with ``changes``; ``validate`` checks its names before its paths,
+    which do not exist."""
+    return PipelineConfig(**{
+        "workdir": Path("work"), "tune_src": Path("t.src"), "tune_refs": (Path("t.ref"),),
+        "dev_src": Path("d.src"), "dev_refs": (Path("d.ref"),), "transfer_src": Path("x.src"),
+        "hooks": {"generate_nbest": "g"}, "native": ("len",), **changes,
+    })
+
+
+def _one_list():
+    return load_nbest(["0 ||| a b |||  ||| 1.0"])
+
+
+# Every lookup of a named mode: the kind of name, the names it takes, and a
+# call with the name.  A file-level step gets paths that do not exist, so one
+# that opens a file before it checks the name fails with FileNotFoundError.
+LOOKUPS = {
+    "evaluate_file": ("metric", "bleu, chrf",
+                      lambda name: evaluate_file("hyp.txt", ["ref.txt"], name)),
+    "distill_file strategy": ("strategy", "kd, ki, rerank", lambda name: distill_file(
+        name, "n.txt", "s.txt", "labels", matrix="m.tsv", weights="w.tsv", refs=["r.txt"])),
+    "distill_file fmt": ("label format", "tsv, parallel",
+                         lambda name: distill_file("kd", "n.txt", "s.txt", "labels", name)),
+    "oracle_file": ("oracle mode", "oracle, anti_oracle",
+                    lambda name: oracle_file("n.txt", ["r.txt"], "o.tsv", mode=name)),
+    "oracle_select": ("oracle mode", "oracle, anti_oracle",
+                      lambda name: oracle_select(_one_list(), ReferenceSet((("a",),)), name)),
+    "MiraConfig": ("init mode", "zeros, uniform", lambda name: MiraConfig(init=name)),
+    "assemble_matrix": ("native feature", "mbr_bleu, mbr_chrf, len, len_ratio",
+                        lambda name: assemble_matrix(_one_list(), native=["len", name])),
+    "label_paths": ("label format", "tsv, parallel", lambda name: label_paths("labels", name)),
+    "PipelineConfig label_format": ("label format", "tsv, parallel",
+                                    lambda name: _config(label_format=name).validate()),
+    "PipelineConfig native": ("native feature", "mbr_bleu, mbr_chrf, len, len_ratio",
+                              lambda name: _config(native=(name,)).validate()),
+}
+
+
+@pytest.mark.parametrize("spelling", ["wrong case", "misspelt"])
+@pytest.mark.parametrize("what, names, call", LOOKUPS.values(), ids=LOOKUPS)
+def test_an_unknown_name_fails_before_a_file_is_read(tmp_path, monkeypatch, what, names,
+                                                     call, spelling):
+    monkeypatch.chdir(tmp_path)
+    first = names.split(", ")[0]
+    name = first.upper() if spelling == "wrong case" else first + "2"
+    message = f"unknown {what} {name!r}: expected one of {names}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(name)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "strategy, given, missing",
+    [("rerank", {}, "matrix"), ("rerank", {"matrix": "m.tsv"}, "weights"),
+     ("rerank", {"weights": "w.tsv"}, "matrix"), ("ki", {}, "refs"), ("ki", {"refs": ()}, "refs")],
+)
+def test_distill_names_a_missing_argument_before_a_file_is_read(tmp_path, monkeypatch,
+                                                                strategy, given, missing):
+    monkeypatch.chdir(tmp_path)
+    message = f"strategy {strategy!r} needs the {missing!r} argument"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        distill_file(strategy, "n.txt", "s.txt", "labels", **given)
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestTablesCallThroughTheModule:
+    """Each ``METRICS`` and ``STRATEGIES`` entry calls its layer function by
+    the name that ``nbdistill.pipeline`` binds, so that a function replaced
+    there (as the benchmark's tracer replaces it) is the one called."""
+
+    CALLS = {"bleu": "corpus_bleu", "chrf": "corpus_chrf",
+             "kd": "kd_top1", "ki": "ki_select", "rerank": "rerank_labels"}
+
+    def test_every_entry_has_its_layer_function(self):
+        assert set(self.CALLS) == set(METRICS) | set(STRATEGIES)
+
+    @pytest.fixture
+    def called(self, tmp_path, monkeypatch):
+        sources, refs, hyps = make_corpus(6, 3, seed=31)
+        write_lines(tmp_path / "nbest.txt", nbest_lines(hyps))
+        write_lines(tmp_path / "src.txt", sources)
+        write_lines(tmp_path / "ref.txt", [r[0] for r in refs])
+        write_lines(tmp_path / "hyp.txt", [h[0] for h in hyps])
+        monkeypatch.chdir(tmp_path)
+        assemble_file("nbest.txt", "matrix.tsv", ("total",), ("len",))
+        tune_file("matrix.tsv", "nbest.txt", ["ref.txt"], MiraConfig(epochs=2), "weights.tsv")
+        calls = []
+        for name in set(self.CALLS.values()):
+            def recorder(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, recorder)
+        return calls
+
+    @pytest.mark.parametrize("metric", list(METRICS))
+    def test_metric(self, called, metric):
+        evaluate_file("hyp.txt", ["ref.txt"], metric)
+        assert called == [self.CALLS[metric]]
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_strategy(self, called, strategy):
+        distill_file(strategy, "nbest.txt", "src.txt", "labels", matrix="matrix.tsv",
+                     weights="weights.tsv", refs=["ref.txt"])
+        assert called == [self.CALLS[strategy]]
 
 
 class TestSelfTrain:
