@@ -1,6 +1,9 @@
 """Batch k-best MIRA tuning of log-linear reranking weights.
 
-Per epoch, sentences are visited in a seed-deterministic shuffled order.
+Epoch e visits the sentences in the order of the e-th ``permutation`` of
+numpy's default generator for ``seed``. ``_Pcg64`` computes that stream bit for
+bit, so the order rests on no numpy internals that may change between versions,
+and tuning does not load numpy's random module (about 6 MB per process).
 For each sentence with feature rows f(t) and precomputed sentence BLEU g(t)
 against the tune references, the update picks
 
@@ -20,6 +23,7 @@ never score below the starting point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
@@ -31,6 +35,8 @@ from .features import FeatureMatrix
 from .metrics import hyp_stats
 
 INIT_MODES = ("zeros", "uniform")
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,8 @@ class MiraConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         known(self.init, INIT_MODES, "init mode")
+        if not 0 <= self.seed <= _M64:
+            raise ValueError(f"seed must be in 0..{_M64}, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,57 @@ def _init_array(config: MiraConfig, names: Sequence[str]) -> np.ndarray:
     if "total" in names:
         lam[list(names).index("total")] = 1.0
     return lam
+
+
+class _Pcg64:
+    """numpy's default generator for ``seed``: its PCG64 stream and ``permutation``."""
+
+    def __init__(self, seed: int):
+        const = 0x43B0D7E5
+        def hashmix(value: int, mult: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * mult & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        # SeedSequence: the seed's two 32-bit words, padded to a 4-word pool
+        pool = [hashmix(word, 0x931E8875) for word in (seed & _M32, seed >> 32, 0, 0)]
+        for src, dst in itertools.permutations(range(4), 2):
+            value = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src], 0x931E8875)) & _M32
+            pool[dst] = value ^ value >> 16
+        # generate_state(4, uint64): initstate, then initseq, as two uint64 each, high first
+        const = 0x8B51F9DD
+        w = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        init_state, init_seq = ((w[i] | w[i + 1] << 32) << 64 | w[i + 2] | w[i + 3] << 32 for i in (0, 4))
+        self.inc = (init_seq << 1 | 1) & _M128
+        self.state = (self.inc + init_state) * _PCG_MULT + self.inc & _M128
+        self.spare: Optional[int] = None
+
+    def next64(self) -> int:
+        """Step the 128-bit LCG and return its XSL-RR output."""
+        self.state = self.state * _PCG_MULT + self.inc & _M128
+        value, rot = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
+        return (value >> rot | value << (64 - rot)) & _M64
+
+    def next32(self) -> int:
+        """The low half of a 64-bit draw; its high half is the next call's."""
+        value, self.spare = self.spare, None
+        if value is None:
+            value = self.next64()
+            self.spare, value = value >> 32, value & _M32
+        return value
+
+    def permutation(self, n: int) -> List[int]:
+        """Fisher-Yates from the end, each index by masked rejection."""
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            draw = self.next32 if i <= _M32 else self.next64
+            while (j := draw() & mask) > i:
+                pass
+            order[i], order[j] = order[j], order[i]
+        return order
 
 
 def hope_fear(model_scores: np.ndarray, gains: np.ndarray) -> Tuple[int, int]:
@@ -138,7 +197,7 @@ def tune_mira(
         history.append((wv, bleu_of_weights(weights)))
 
     record(lam)
-    rng = np.random.default_rng(config.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = _Pcg64(config.seed)
     for _ in range(config.epochs):
         order = rng.permutation(num_sentences)
         weight_sum = np.zeros_like(lam)

@@ -559,6 +559,7 @@ def run_iteration(
     config: PipelineConfig, prev: Optional[IterationState] = None
 ) -> IterationState:
     """Run (or resume) one iteration and append its ledger entry."""
+    config.validate()
     iter_n = (prev.iter if prev else 0) + 1
     ledger = ledger_path(config.workdir)
     for state in read_ledger(ledger):

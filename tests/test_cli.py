@@ -246,6 +246,13 @@ class TestTuneDefaults:
                            "--c", c, "--out", "w")
         assert (code, err) == (1, f"error: c must be positive and finite, got {float(c)}\n")
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_must_fit_in_64_bits(self, capsys, seed):
+        # rejected before any input file is opened, not reduced modulo 2**64
+        code, _, err = run(capsys, "tune", "--matrix", "m", "--nbest", "n", "--refs", "r",
+                           "--seed", seed, "--out", "w")
+        assert (code, err) == (1, f"error: seed must be in 0..18446744073709551615, got {seed}\n")
+
 
 class TestOracleCli:
     def test_selection_output(self, workspace, capsys):

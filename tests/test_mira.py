@@ -2,14 +2,16 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nbdistill.corpus import FormatError, ReferenceSet, load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, corpus_stats
+import nbdistill.mira as mira
 from nbdistill.mira import (
     MiraConfig,
     WeightVector,
+    _Pcg64,
     _update_on_sentence,
     hope_fear,
     load_weights,
@@ -39,6 +41,59 @@ class TestConfig:
             MiraConfig(epochs=0)
         with pytest.raises(ValueError):
             MiraConfig(init="random")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_seed_must_fit_in_64_bits(self, seed):
+        # a seed outside 0..2**64-1 would otherwise name the stream of one inside
+        with pytest.raises(ValueError, match=f"^seed must be in 0..{2**64 - 1}, got {seed}$"):
+            MiraConfig(seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        assert (MiraConfig(seed=0).seed, MiraConfig(seed=2**64 - 1).seed) == (0, 2**64 - 1)
+
+
+class TestVisitOrder:
+    """Epoch e visits the sentences in the order of the e-th
+    ``numpy.random.default_rng(seed).permutation`` on one generator; the
+    package computes that stream itself, and numpy.random is the oracle."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.lists(st.integers(0, 300), min_size=1, max_size=5),
+    )
+    @example(seed=0, sizes=[0, 1, 2, 10])
+    @example(seed=2**32 - 1, sizes=[2, 300, 1])
+    @example(seed=2**32, sizes=[1, 300, 0, 2])
+    @example(seed=2**64 - 1, sizes=[300, 2, 1, 0, 7])
+    def test_permutations_match_numpy(self, seed, sizes):
+        ours, numpy_rng = _Pcg64(seed), np.random.default_rng(seed)
+        for n in sizes:
+            assert ours.permutation(n) == numpy_rng.permutation(n).tolist()
+
+    def test_pinned_orders(self):
+        # fixed here too, so the order holds whichever numpy is installed
+        rng = _Pcg64(0)
+        assert [rng.permutation(10) for _ in range(3)] == [
+            [4, 6, 2, 7, 3, 5, 9, 0, 8, 1],
+            [2, 9, 3, 6, 0, 4, 8, 7, 5, 1],
+            [5, 4, 9, 0, 8, 2, 1, 6, 7, 3],
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    def test_tune_visits_in_the_numpy_order(self, monkeypatch, seed):
+        corpus, refset, matrix, _, _ = build(9, 4, seed=3)
+        sid_of = {id(rows): sid for sid, rows in enumerate(matrix.values)}
+        visits = []
+        update = mira._update_on_sentence
+
+        def recording(lam, rows, gains, c):
+            visits.append(sid_of[id(rows)])
+            return update(lam, rows, gains, c)
+
+        monkeypatch.setattr(mira, "_update_on_sentence", recording)
+        tune_mira(matrix, corpus, refset, MiraConfig(epochs=3, seed=seed))
+        numpy_rng = np.random.default_rng(seed)
+        assert visits == [sid for _ in range(3) for sid in numpy_rng.permutation(9).tolist()]
 
 
 class TestTune:

@@ -215,6 +215,17 @@ class TestConfig:
         assert (str(err.value), err.value.line) == (
             f"{ini}: line {lineno}: epochs must be >= 1", lineno)
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_names_the_file_and_the_section(self, tmp_path, seed):
+        ini = build_pipeline_fixtures(tmp_path)
+        text = ini.read_text().replace("seed = 0", f"seed = {seed}")
+        ini.write_text(text)
+        lineno = text.splitlines().index("[mira]") + 1
+        with pytest.raises(FormatError) as err:
+            PipelineConfig.from_file(ini)
+        assert (str(err.value), err.value.line) == (
+            f"{ini}: line {lineno}: seed must be in 0..18446744073709551615, got {seed}", lineno)
+
     @pytest.mark.parametrize(
         "old, new, message",
         [
@@ -332,6 +343,8 @@ class TestConfig:
                 if "default" in prop:
                     assert prop["default"] == defaults[name][key], f"{name}.{key}"
         assert sections["mira"]["properties"]["init"]["enum"] == list(INIT_MODES)
+        seed = sections["mira"]["properties"]["seed"]
+        assert (seed["minimum"], seed["maximum"]) == (0, 2**64 - 1)
         assert sections["pipeline"]["properties"]["label_format"]["enum"] == list(LABEL_SUFFIXES)
         native = sections["features"]["properties"]["native"]["oneOf"][1]["items"]["enum"]
         assert native == list(NATIVE_FEATURES)
@@ -545,6 +558,19 @@ class TestRunIteration:
         state = run_iteration(config)
         assert Path(state.labels_path).is_file()
         assert (tmp_path / "work dir" / "iter1" / "nbest.tune.txt").is_file()
+
+    def test_invalid_config_fails_before_the_first_stage(self, tmp_path, monkeypatch):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        hooks = []
+        run_hook = pipeline._run_hook
+        monkeypatch.setattr(
+            pipeline, "_run_hook", lambda *args: (hooks.append(args[1:3]), run_hook(*args)))
+        with pytest.raises(
+            ValueError, match="^unknown label format 'TSV': expected one of tsv, parallel$"
+        ):
+            run_iteration(dataclasses.replace(config, label_format="TSV"))
+        assert hooks == []
+        assert list(Path(config.workdir).rglob("*")) == []
 
     def test_rerun_returns_ledger_entry(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
