@@ -107,9 +107,9 @@ def cmd_rerank(args) -> int:
                                args.top_k_models, args.refs)
     if args.report:
         if result.corpus_score is not None:
-            print(f"BLEU\t{result.corpus_score.value:.4f}")
+            print(f"BLEU\t{result.corpus_score:.4f}")
         if mask is not None:
-            print(f"#active\t{','.join(sorted(mask.active))}")
+            print(f"#active\t{','.join(sorted(mask))}")
     return 0
 
 
@@ -135,6 +135,10 @@ def cmd_distill(args) -> int:
 
 def cmd_selftrain(args) -> int:
     config = PipelineConfig.from_file(args.config)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     best, reason = run_selftrain(config)
     print(f"stop_reason\t{reason}")
     print(f"best_iteration\t{best.iter}")

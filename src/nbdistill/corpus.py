@@ -46,6 +46,14 @@ def known(name: str, names: Collection[str], what: str) -> str:
     return name
 
 
+def integers(obj, *names: str) -> None:
+    """A ValueError unless each field ``names`` of ``obj`` is an int that is no bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class FormatError(ValueError):
     """An input stream violates its file-format contract.  ``line`` is the
     1-based number of the bad line."""
@@ -91,16 +99,6 @@ class NBestCorpus:
     @property
     def n_max(self) -> int:
         return max(len(texts) for texts in self.texts)
-
-
-@dataclass(frozen=True)
-class SourceCorpus:
-    """Source sentences; index is the sentence id."""
-
-    sentences: Tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.sentences)
 
 
 @dataclass(frozen=True)
@@ -360,8 +358,8 @@ def load_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
         return load_references([stack.enter_context(open(p, encoding="utf-8")) for p in paths])
 
 
-def load_sources(stream: Iterable[str]) -> SourceCorpus:
-    return SourceCorpus(tuple(line for _, (line,) in read_fields(stream, name="source")))
+def load_sources(stream: Iterable[str]) -> Tuple[str, ...]:
+    return tuple(line for _, (line,) in read_fields(stream, name="source"))
 
 
 # The files of each pseudo-label format, as suffixes of the output prefix; the
@@ -376,7 +374,7 @@ def label_paths(prefix: str | Path, fmt: str) -> List[Path]:
 
 
 def write_pseudo_labels(
-    sources: SourceCorpus,
+    sources: Sequence[str],
     labels: Sequence[str],
     out_prefix: str | Path,
     fmt: str = "tsv",
@@ -397,15 +395,15 @@ def write_pseudo_labels(
         if "\n" in lab or "\r" in lab:
             raise ValueError(f"label for sentence {i} contains a newline")
     if fmt == "parallel":
-        texts = ["".join(s + "\n" for s in sources.sentences),
+        texts = ["".join(s + "\n" for s in sources),
                  "".join(lab + "\n" for lab in labels)]
     else:
-        for i, (s, lab) in enumerate(zip(sources.sentences, labels)):
+        for i, (s, lab) in enumerate(zip(sources, labels)):
             if "\t" in lab:
                 raise ValueError(f"label for sentence {i} contains a tab (tsv format)")
             if "\t" in s:
                 raise ValueError(f"source sentence {i} contains a tab (tsv format)")
-        texts = ["".join(f"{s}\t{lab}\n" for s, lab in zip(sources.sentences, labels))]
+        texts = ["".join(f"{s}\t{lab}\n" for s, lab in zip(sources, labels))]
     for path, text in zip(paths, texts):
         write_text(path, text)
     return paths

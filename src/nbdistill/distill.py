@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from .corpus import NBestCorpus, ReferenceSet
 from .features import FeatureMatrix
 from .mira import WeightVector
-from .rerank import SelectionMask, oracle_select, rerank
+from .rerank import oracle_select, rerank
 
 
 def kd_top1(corpus: NBestCorpus) -> Tuple[str, ...]:
@@ -36,7 +36,7 @@ def rerank_labels(
     matrix: FeatureMatrix,
     corpus: NBestCorpus,
     weights: WeightVector,
-    mask: Optional[SelectionMask] = None,
+    mask: Optional[frozenset] = None,
 ) -> Tuple[str, ...]:
     """Labels from the log-linear reranker's argmax selection."""
     return rerank(matrix, corpus, weights, mask=mask).selected_texts

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class FeatureMatrix:
     def num_sentences(self) -> int:
         return len(self.values)
 
-    @property
-    def num_features(self) -> int:
-        return len(self.feature_names)
-
     def best_rows(self, w: np.ndarray) -> Tuple[int, ...]:
         """Per list, the index of the first row with the highest ``rows @ w``."""
         return tuple(int((rows @ w).argmax()) for rows in self.values)
@@ -82,6 +78,22 @@ class FeatureMatrix:
                 )
 
 
+def _bleu_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
+    toks = tokenize_many(texts)
+    overlaps = _overlaps(toks, NGRAM_ORDER)
+    return lambda i, j: corpus_bleu(
+        NGramStats(tuple(overlaps[i][j]), tuple(overlaps[i][i]), len(toks[i]), len(toks[j])))
+
+
+def _chrf_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
+    overlaps = _overlaps([_collapse(t) for t in texts], CHRF_CHAR_ORDER)
+    return lambda i, j: _chrf_from_stats(list(zip(overlaps[i][i], overlaps[j][j], overlaps[i][j])))
+
+
+# Per MBR utility, from a list's texts, the score of hypothesis i against j.
+_PAIR_SCORES = {"sentence_bleu": _bleu_pairs, "sentence_chrf": _chrf_pairs}
+
+
 def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[float]:
     """Consensus utility of each hypothesis against the rest of its list.
 
@@ -93,24 +105,7 @@ def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[fl
     if not texts:
         raise ValueError("empty hypothesis list")
     n = len(texts)
-    if utility == "sentence_bleu":
-        toks = tokenize_many(texts)
-        lens = [len(t) for t in toks]
-        overlaps = _overlaps(toks, NGRAM_ORDER)
-
-        def pair(i: int, j: int) -> float:
-            stats = NGramStats(tuple(overlaps[i][j]), tuple(overlaps[i][i]), lens[i], lens[j])
-            return corpus_bleu(stats).value
-
-    elif utility == "sentence_chrf":
-        overlaps = _overlaps([_collapse(t) for t in texts], CHRF_CHAR_ORDER)
-
-        def pair(i: int, j: int) -> float:
-            stats = list(zip(overlaps[i][i], overlaps[j][j], overlaps[i][j]))
-            return _chrf_from_stats(stats).value
-
-    else:
-        raise ValueError(f"unknown MBR utility {utility!r}")
+    pair = _PAIR_SCORES[known(utility, _PAIR_SCORES, "MBR utility")](texts)
     if n == 1:
         return [pair(0, 0)]
     return [

@@ -10,11 +10,13 @@ geometric mean, so an exact match scores 100.0 at any length.
 chrF uses character n-grams of orders 1-6 over the string with whitespace
 runs collapsed to single spaces, F-score with beta=2, no word n-grams.
 
-All functions are pure.  ``hyp_stats`` tabulates the statistics of every
-n-best hypothesis once, so corpus BLEU of any selection is an integer sum over
-that table; ``corpus_stats`` is the sum over the table of a one-best stream.
-``tokenize_many`` runs each 13a rule once over a whole group of texts, and
-``tokenize_13a`` is its one-text case.
+All functions are pure, and every score (``corpus_bleu``, ``HypStats.bleu``,
+``sentence_bleu``, ``sentence_chrf``, ``corpus_chrf``) is a Python float, never
+a numpy scalar, so its ``repr`` is a plain number.  ``hyp_stats`` tabulates the
+statistics of every n-best hypothesis once, so corpus BLEU of any selection is
+an integer sum over that table; ``corpus_stats`` is the sum over the table of a
+one-best stream.  ``tokenize_many`` runs each 13a rule once over a whole group
+of texts, and ``tokenize_13a`` is its one-text case.
 
 Only ``_ngram_ids`` gives n-grams ids, for token and character sequences
 alike.  BLEU clipping (``_block_stats``, behind ``hyp_stats`` and
@@ -96,18 +98,6 @@ class NGramStats:
     hyp_ngrams: Tuple[int, int, int, int]
     hyp_len: int
     ref_len: int
-
-
-@dataclass(frozen=True)
-class BleuScore:
-    value: float
-    precisions: Tuple[float, float, float, float]
-    brevity_penalty: float
-
-
-@dataclass(frozen=True)
-class ChrFScore:
-    value: float
 
 
 def _ngram_ids(texts: Sequence[Sequence], orders: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
@@ -250,10 +240,10 @@ class HypStats:
     def gains(self) -> np.ndarray:
         """(S, N_max) float64, scoring each distinct row of ``stats`` once."""
         rows = list(map(tuple, self.stats.reshape(-1, 10).tolist()))
-        score = {row: corpus_bleu(_as_stats(row)).value for row in dict.fromkeys(rows)}
+        score = {row: corpus_bleu(_as_stats(row)) for row in dict.fromkeys(rows)}
         return np.array([score[row] for row in rows], dtype=np.float64).reshape(self.valid.shape)
 
-    def bleu(self, picks: Sequence[int]) -> BleuScore:
+    def bleu(self, picks: Sequence[int]) -> float:
         """Corpus BLEU of the selection holding hypothesis ``picks[s]`` of
         each sentence ``s``; integer sums are exact in any order."""
         total = self.stats[np.arange(len(self.stats)), picks].sum(axis=0).tolist()
@@ -304,7 +294,7 @@ def corpus_stats(
     return _as_stats(table.stats.sum(axis=(0, 1)).tolist())
 
 
-def corpus_bleu(stats: NGramStats) -> BleuScore:
+def corpus_bleu(stats: NGramStats) -> float:
     """BLEU from sufficient statistics.
 
     Precisions are clipped_matches / hyp_ngrams per order; under exp smoothing
@@ -313,8 +303,7 @@ def corpus_bleu(stats: NGramStats) -> BleuScore:
     definition.
     """
     if stats.hyp_len == 0:
-        return BleuScore(0.0, (0.0, 0.0, 0.0, 0.0), 0.0)
-    precisions = [0.0] * NGRAM_ORDER
+        return 0.0
     log_sum = 0.0
     n_orders = 0
     zero_scale = 1
@@ -329,17 +318,15 @@ def corpus_bleu(stats: NGramStats) -> BleuScore:
             p = 1.0 / (zero_scale * total)
         else:
             p = correct / total
-        precisions[o] = p
         log_sum += math.log(p)
     bp = min(1.0, math.exp(1.0 - stats.ref_len / stats.hyp_len))
-    value = 100.0 * bp * math.exp(log_sum / n_orders)
-    return BleuScore(value, tuple(precisions), bp)
+    return 100.0 * bp * math.exp(log_sum / n_orders)
 
 
 def sentence_bleu(hyp: str, refs: Sequence[str]) -> float:
     """Smoothed BLEU of a single sentence, in [0, 100]."""
     stats = sentence_stats(tokenize_13a(hyp), [tokenize_13a(r) for r in refs])
-    return corpus_bleu(stats).value
+    return corpus_bleu(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +344,7 @@ def _char_ngram_stats(hyp: str, refs: Sequence[str]) -> List[List[Tuple[int, int
     return [list(zip(pairs[0][0], pairs[r][r], pairs[0][r])) for r in range(1, len(refs) + 1)]
 
 
-def _chrf_from_stats(stats: Sequence[Tuple[int, int, int]]) -> ChrFScore:
+def _chrf_from_stats(stats: Sequence[Tuple[int, int, int]]) -> float:
     precision = 0.0
     recall = 0.0
     effective = 0
@@ -367,14 +354,14 @@ def _chrf_from_stats(stats: Sequence[Tuple[int, int, int]]) -> ChrFScore:
             recall += overlap / ref_total
             effective += 1
     if effective == 0:
-        return ChrFScore(0.0)
+        return 0.0
     precision /= effective
     recall /= effective
     if precision == 0.0 and recall == 0.0:
-        return ChrFScore(0.0)
+        return 0.0
     beta_sq = CHRF_BETA**2
     f = (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
-    return ChrFScore(100.0 * f)
+    return 100.0 * f
 
 
 def _best_ref_chrf_stats(hyp: str, refs: Sequence[str]) -> List[Tuple[int, int, int]]:
@@ -382,15 +369,15 @@ def _best_ref_chrf_stats(hyp: str, refs: Sequence[str]) -> List[Tuple[int, int, 
     if not refs:
         raise ValueError("at least one reference required")
     # max keeps the first of equally scoring references
-    return max(_char_ngram_stats(hyp, refs), key=lambda stats: _chrf_from_stats(stats).value)
+    return max(_char_ngram_stats(hyp, refs), key=_chrf_from_stats)
 
 
-def sentence_chrf(hyp: str, refs: Sequence[str]) -> ChrFScore:
+def sentence_chrf(hyp: str, refs: Sequence[str]) -> float:
     """chrF of one hypothesis against one or more references."""
     return _chrf_from_stats(_best_ref_chrf_stats(hyp, refs))
 
 
-def corpus_chrf(pairs: Iterable[Tuple[str, Sequence[str]]]) -> ChrFScore:
+def corpus_chrf(pairs: Iterable[Tuple[str, Sequence[str]]]) -> float:
     """Corpus chrF: n-gram statistics are aggregated before the F computation."""
     agg = np.zeros((CHRF_CHAR_ORDER, 3), dtype=np.int64)
     for hyp, refs in pairs:

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, known, read_fields
+from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, integers, known, read_fields
 from .features import FeatureMatrix
 from .metrics import hyp_stats
 
@@ -66,6 +66,7 @@ class MiraConfig:
     def __post_init__(self):
         if not 0 < self.c < math.inf:  # NaN too
             raise ValueError(f"c must be positive and finite, got {self.c}")
+        integers(self, "epochs", "seed")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         known(self.init, INIT_MODES, "init mode")
@@ -77,7 +78,6 @@ class MiraConfig:
 class TuneRun:
     """Per-epoch averaged weights and tune BLEU; epoch 0 is the initialization."""
 
-    best_weights: WeightVector
     history: Tuple[Tuple[WeightVector, float], ...]
     best_epoch: int
 
@@ -187,7 +187,7 @@ def tune_mira(
     gains = [table.gains[sid, : len(rows)] for sid, rows in enumerate(matrix.values)]
 
     def bleu_of_weights(weights: np.ndarray) -> float:
-        return table.bleu(matrix.best_rows(weights)).value
+        return table.bleu(matrix.best_rows(weights))
 
     lam = _init_array(config, names)
     history: List[Tuple[WeightVector, float]] = []
@@ -214,7 +214,7 @@ def tune_mira(
 
     # max keeps the first of equally scoring epochs
     best_epoch = max(range(len(history)), key=lambda epoch: history[epoch][1])
-    return TuneRun(history[best_epoch][0], tuple(history), best_epoch)
+    return TuneRun(tuple(history), best_epoch)
 
 
 def write_weights(

@@ -48,6 +48,7 @@ from .corpus import (
     FormatError,
     NBestCorpus,
     _parse_float,
+    integers,
     known,
     label_paths,
     load_file,
@@ -66,7 +67,7 @@ from .features import FeatureMatrix, assemble_matrix, load_matrix, write_matrix,
 from .metrics import CHRF_BETA, CHRF_CHAR_ORDER, corpus_bleu, corpus_chrf, corpus_stats
 from .mira import MiraConfig, TuneRun, WeightVector, load_weights, tune_mira, write_weights
 from .rerank import (
-    ORACLE_MODES, RerankResult, SelectionMask, beam_sweep, format_selections, format_sweep,
+    ORACLE_MODES, RerankResult, beam_sweep, format_selections, format_sweep,
     oracle_select, rank_models, rerank, select_models,
 )
 
@@ -97,6 +98,7 @@ class PipelineConfig:
     label_format: str = "tsv"
 
     def validate(self) -> None:
+        integers(self, "iterations_max", "top_k_models")
         if self.iterations_max < 1:
             raise ValueError("iterations_max must be >= 1")
         if not self.min_delta >= 0:  # NaN too
@@ -348,9 +350,9 @@ def _append_ledger(path: Path, state: IterationState) -> None:
 # The modes of two file-level steps.  Entries call layer functions by this
 # module's names, so that a function replaced in this module is the one called.
 METRICS = {
-    "bleu": ("BLEU", lambda hyps, refs: corpus_bleu(corpus_stats(hyps, refs)).value,
+    "bleu": ("BLEU", lambda hyps, refs: corpus_bleu(corpus_stats(hyps, refs)),
              "eff:no|tok:13a|smooth:exp"),
-    "chrf": ("chrF", lambda hyps, refs: corpus_chrf(zip(hyps, refs)).value,
+    "chrf": ("chrF", lambda hyps, refs: corpus_chrf(zip(hyps, refs)),
              f"nc:{CHRF_CHAR_ORDER}|nw:0|beta:{int(CHRF_BETA)}|space:collapse"),
 }
 STRATEGIES = {
@@ -392,16 +394,16 @@ def tune_file(
     """Tune MIRA weights on a matrix and its n-best file; write the best ones."""
     corpus = load_file(nbest, load_nbest)
     run = tune_mira(load_file(matrix, load_matrix), corpus, load_reference_files(refs), config)
-    best = run.best_epoch
+    weights, bleu = run.history[run.best_epoch]
     with open_out(out) as f:
-        write_weights(run.best_weights, f, best_epoch=best, tune_bleu=run.history[best][1])
+        write_weights(weights, f, best_epoch=run.best_epoch, tune_bleu=bleu)
     return run
 
 
 def _rerank_inputs(
     matrix: str | Path, nbest: str | Path, weights: str | Path,
     models: Optional[int],
-) -> Tuple[FeatureMatrix, NBestCorpus, WeightVector, Optional[SelectionMask]]:
+) -> Tuple[FeatureMatrix, NBestCorpus, WeightVector, Optional[frozenset]]:
     """The arguments of ``rerank``; ``models`` is k for ``select_models``."""
     loaded = load_file(weights, load_weights)
     mask = None if models is None else select_models(loaded, models)
@@ -411,7 +413,7 @@ def _rerank_inputs(
 def rerank_file(
     matrix: str | Path, nbest: str | Path, weights: str | Path, out: str | Path,
     models: Optional[int] = None, refs: Optional[Sequence[str | Path]] = None,
-) -> Tuple[RerankResult, Optional[SelectionMask]]:
+) -> Tuple[RerankResult, Optional[frozenset]]:
     """Write the ``SID<TAB>RANK<TAB>TEXT`` selections of the reranker and
     return them with the mask applied; ``refs`` add the corpus BLEU."""
     inputs = _rerank_inputs(matrix, nbest, weights, models)
@@ -435,7 +437,7 @@ def oracle_file(
         text, bleu = format_sweep(rows), None
     else:
         result = oracle_select(corpus, loaded, mode=mode)
-        text, bleu, short_lists = format_selections(result), result.corpus_score.value, 0
+        text, bleu, short_lists = format_selections(result), result.corpus_score, 0
     if out:
         write_text(out, text)
     else:
@@ -521,8 +523,7 @@ def _tune(it: _Iteration) -> None:
 
 def _select(it: _Iteration) -> None:
     weights = load_file(it.weights, load_weights)
-    mask = select_models(weights, it.config.top_k_models)
-    write_text(it.selected, "".join(f"{n}\n" for n in rank_models(weights) if n in mask.active))
+    write_text(it.selected, "".join(f"{n}\n" for n in rank_models(weights)[:it.config.top_k_models]))
 
 
 def _distill(it: _Iteration) -> None:
@@ -537,7 +538,7 @@ def _evaluate(it: _Iteration) -> None:
         it.matrix["dev"], it.nbest["dev"], it.weights, it.dir / "selections.dev.tsv",
         models=it.config.top_k_models, refs=it.config.dev_refs,
     )
-    write_text(it.dev_bleu, repr(result.corpus_score.value) + "\n")
+    write_text(it.dev_bleu, repr(result.corpus_score) + "\n")
 
 
 def _load_bleu(stream: Iterable[str]) -> float:

@@ -18,17 +18,10 @@ import numpy as np
 
 from .corpus import NBestCorpus, ReferenceSet, known
 from .features import FeatureMatrix
-from .metrics import BleuScore, HypStats, corpus_bleu, corpus_stats, hyp_stats
+from .metrics import HypStats, corpus_bleu, corpus_stats, hyp_stats
 from .mira import WeightVector
 
 ORACLE_MODES = ("oracle", "anti_oracle")
-
-
-@dataclass(frozen=True)
-class SelectionMask:
-    """The feature subset a reranker is restricted to."""
-
-    active: frozenset
 
 
 @dataclass(frozen=True)
@@ -37,7 +30,7 @@ class RerankResult:
 
     selections: Tuple[int, ...]
     selected_texts: Tuple[str, ...]
-    corpus_score: Optional[BleuScore] = None
+    corpus_score: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -57,22 +50,22 @@ def rank_models(weights: WeightVector) -> List[str]:
     return [name for name, _ in ranked]
 
 
-def select_models(weights: WeightVector, k: int) -> SelectionMask:
-    """Keep the k largest-magnitude features; ties break lexicographically."""
+def select_models(weights: WeightVector, k: int) -> frozenset:
+    """The names of the k largest-magnitude features; ties break lexicographically."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return SelectionMask(frozenset(rank_models(weights)[:k]))
+    return frozenset(rank_models(weights)[:k])
 
 
-def _masked_weights(weights: WeightVector, mask: Optional[SelectionMask]) -> np.ndarray:
+def _masked_weights(weights: WeightVector, mask: Optional[frozenset]) -> np.ndarray:
     w = weights.as_array()
     if mask is None:
         return w
-    unknown = mask.active - set(weights.feature_names)
+    unknown = mask - set(weights.feature_names)
     if unknown:
         raise ValueError(f"mask names unknown features: {sorted(unknown)}")
     keep = np.array(
-        [1.0 if name in mask.active else 0.0 for name in weights.feature_names]
+        [1.0 if name in mask else 0.0 for name in weights.feature_names]
     )
     return w * keep
 
@@ -81,7 +74,7 @@ def rerank(
     matrix: FeatureMatrix,
     corpus: NBestCorpus,
     weights: WeightVector,
-    mask: Optional[SelectionMask] = None,
+    mask: Optional[frozenset] = None,
     refs: Optional[ReferenceSet] = None,
 ) -> RerankResult:
     """Select the argmax hypothesis per sentence under (optionally masked) weights."""
@@ -143,13 +136,13 @@ def beam_sweep(
         )
     table = hyp_stats(corpus.texts, refs.refs)
     lengths = table.valid.sum(axis=1)
-    top1 = table.bleu(np.zeros(corpus.num_sentences, dtype=np.int64)).value
+    top1 = table.bleu(np.zeros(corpus.num_sentences, dtype=np.int64))
     rows = []
     short_lists = 0
     for n in sizes:
         short_lists += int((lengths < n).sum())
         oracle, anti = _extremes(table, n)
-        rows.append(SweepRow(n, table.bleu(anti).value, top1, table.bleu(oracle).value))
+        rows.append(SweepRow(n, table.bleu(anti), top1, table.bleu(oracle)))
     return rows, short_lists
 
 

@@ -23,12 +23,12 @@ def reference_mbr_utility(texts, utility="sentence_bleu"):
         toks = [reference_tokenize_13a(t) for t in texts]
 
         def pair(i, j):
-            return corpus_bleu(reference_sentence_stats(toks[i], [toks[j]])).value
+            return corpus_bleu(reference_sentence_stats(toks[i], [toks[j]]))
 
     elif utility == "sentence_chrf":
 
         def pair(i, j):
-            return reference_sentence_chrf(texts[i], [texts[j]]).value
+            return reference_sentence_chrf(texts[i], [texts[j]])
 
     else:
         raise ValueError(f"unknown MBR utility {utility!r}")

@@ -86,7 +86,7 @@ def reference_hyp_stats(lists, refs_per_sentence):
         ref_toks = [reference_tokenize_13a(r) for r in refs]
         sent = [reference_sentence_stats(reference_tokenize_13a(t), ref_toks) for t in texts]
         stats.append(sent)
-        gains.append([corpus_bleu(s).value for s in sent])
+        gains.append([corpus_bleu(s) for s in sent])
     return stats, gains
 
 
@@ -112,7 +112,7 @@ def reference_best_ref_chrf_stats(hyp, refs):
     best_value = -1.0
     for ref in refs:
         stats = reference_char_ngram_stats(h, " ".join(ref.split()))
-        value = _chrf_from_stats(stats).value
+        value = _chrf_from_stats(stats)
         if value > best_value:
             best_value = value
             best_stats = stats

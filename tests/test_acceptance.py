@@ -60,22 +60,22 @@ def test_criterion_1_metric_oracle_agreement():
         _, refs, hyps = make_corpus(50, 1, seed=101, num_refs=2)
         flat = [h[0] for h in hyps]
         start = time.perf_counter()
-        ours = corpus_bleu(corpus_stats(flat, refs)).value
+        ours = corpus_bleu(corpus_stats(flat, refs))
         oracle = bf_corpus_bleu(flat, refs)
         assert abs(ours - oracle) <= 1e-9
         for hyp, sentence_refs in zip(flat, refs):
-            got = sentence_chrf(hyp, sentence_refs).value
+            got = sentence_chrf(hyp, sentence_refs)
             want = bf_sentence_chrf(hyp, sentence_refs)
             assert abs(got - want) <= 1e-9
         elapsed = time.perf_counter() - start
         # identity scores exactly 100, empty hypotheses exactly 0
         identity = [r[0] for r in refs]
-        assert corpus_bleu(corpus_stats(identity, refs)).value == 100.0
+        assert corpus_bleu(corpus_stats(identity, refs)) == 100.0
         assert sentence_bleu(identity[0], [identity[0]]) == 100.0
-        assert sentence_chrf(identity[0], [identity[0]]).value == 100.0
+        assert sentence_chrf(identity[0], [identity[0]]) == 100.0
         assert sentence_bleu("", refs[0]) == 0.0
-        assert sentence_chrf("", refs[0]).value == 0.0
-        assert corpus_bleu(corpus_stats([""] * 50, refs)).value == 0.0
+        assert sentence_chrf("", refs[0]) == 0.0
+        assert corpus_bleu(corpus_stats([""] * 50, refs)) == 0.0
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
         ok = True
     finally:
@@ -116,7 +116,7 @@ def test_criterion_3_rerank_matches_exhaustive_argmax():
         matrix = assemble_matrix(
             corpus, passthrough=["total", "lm"], native=["len"], external_tables=noise
         )
-        assert matrix.num_features == 6
+        assert len(matrix.feature_names) == 6
         rows = [arr.tolist() for arr in matrix.values]
         start = time.perf_counter()
         for _ in range(1000):
@@ -174,10 +174,10 @@ def test_criterion_5_mira_planted_recovery():
         corpus, refset, matrix, refs, hyps = make_planted_instance(200, 8, seed=42)
         num_sentences = corpus.num_sentences
         singles = []
-        for j in range(matrix.num_features):
+        for j in range(len(matrix.feature_names)):
             sel = [int(np.argmax(matrix.values[s][:, j])) for s in range(num_sentences)]
             hyp = [hyps[s][sel[s]] for s in range(num_sentences)]
-            singles.append(corpus_bleu(corpus_stats(hyp, refs)).value)
+            singles.append(corpus_bleu(corpus_stats(hyp, refs)))
         best_single = max(singles)
 
         start = time.perf_counter()
@@ -189,7 +189,7 @@ def test_criterion_5_mira_planted_recovery():
             tuned = run.history[run.best_epoch][1]
             assert tuned >= best_single - 1e-9, f"seed {seed}: {tuned} < {best_single}"
             assert tuned >= run.history[0][1] - 1e-12
-            if run.best_weights.weights[0] > 0:
+            if run.history[run.best_epoch][0].weights[0] > 0:
                 positive_signs += 1
         elapsed = time.perf_counter() - start
         assert positive_signs >= 19, f"sign recovered in only {positive_signs}/20 seeds"
@@ -233,12 +233,12 @@ def test_criterion_7_model_selection_consistency():
             corpus, passthrough=["total", "lm", "tm"], native=["len", "len_ratio"]
         )
         weights = WeightVector(matrix.feature_names, (0.4, -1.3, 0.9, 0.05, -0.2))
-        full_mask = select_models(weights, matrix.num_features)
+        full_mask = select_models(weights, len(matrix.feature_names))
         assert (
             rerank(matrix, corpus, weights, mask=full_mask).selections
             == rerank(matrix, corpus, weights).selections
         )
-        assert select_models(weights, 1).active == frozenset(("lm",))
+        assert select_models(weights, 1) == frozenset(("lm",))
         ok = True
     finally:
         _report(7, "top-k model selection is consistent with full reranking", ok)

@@ -11,7 +11,7 @@ from nbdistill.cli import MODE_FLAGS, build_parser, check_mode_flags, main
 from nbdistill.corpus import FormatError
 from nbdistill.mira import MiraConfig
 from nbdistill.pipeline import STRATEGIES, PipelineConfig
-from synth import make_corpus, nbest_lines, write_lines
+from synth import build_pipeline_fixtures, make_corpus, nbest_lines, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -536,6 +536,28 @@ class TestConfigSyntaxErrors:
             cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stderr) == (1, f"error: {name}: line {line}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("iterations_max = 3", "iterations_max = 0", "iterations_max must be >= 1"),
+        ("native = mbr_bleu,len_ratio", "native = mbr_bleu,bleu",
+         "unknown native feature 'bleu': expected one of mbr_bleu, mbr_chrf, len, len_ratio"),
+        ("tune_src = tune.src", "tune_src = missing.src",
+         "tune_src file not found: {root}/missing.src"),
+    ],
+    ids=["iterations_max", "native", "missing-file"],
+)
+def test_selftrain_config_check_names_the_file(tmp_path, capsys, monkeypatch, old, new, message):
+    """A config that parses but fails a check is named by its path, with no
+    line, before any hook runs."""
+    ini = build_pipeline_fixtures(tmp_path)
+    ini.write_text(ini.read_text().replace(old, new))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "selftrain", "--config", ini.name)
+    assert (code, out, err) == (1, "", f"error: {ini.name}: {message.format(root=tmp_path)}\n")
+    assert list((tmp_path / "work").iterdir()) == []
 
 
 def test_cli_reads_scores_and_writes_only_through_pipeline_steps():

@@ -8,7 +8,6 @@ from nbdistill.corpus import (
     ExternalScoreTable,
     FormatError,
     NBestCorpus,
-    SourceCorpus,
     load_file,
     load_nbest,
     load_reference_files,
@@ -285,7 +284,7 @@ class TestParallel:
 class TestWritePseudoLabels:
     def test_single_sentence_tgt_bytes(self, tmp_path):
         paths = write_pseudo_labels(
-            SourceCorpus(("src .",)), ("hello .",), tmp_path / "out", "parallel"
+            ("src .",), ("hello .",), tmp_path / "out", "parallel"
         )
         tgt = [p for p in paths if p.suffix == ".tgt"][0]
         assert tgt.read_bytes() == b"hello .\n"
@@ -293,27 +292,27 @@ class TestWritePseudoLabels:
     def test_newline_in_label_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="newline"):
             write_pseudo_labels(
-                SourceCorpus(("s",)), ("bad\nlabel",), tmp_path / "out", "tsv"
+                ("s",), ("bad\nlabel",), tmp_path / "out", "tsv"
             )
 
     def test_output_in_id_order(self, tmp_path):
         labels = ("zero", "one", "two")
         paths = write_pseudo_labels(
-            SourceCorpus(("a", "b", "c")), labels, tmp_path / "out", "tsv"
+            ("a", "b", "c"), labels, tmp_path / "out", "tsv"
         )
         body = paths[0].read_text()
         assert body == "a\tzero\nb\tone\nc\ttwo\n"
 
     def test_missing_label(self, tmp_path):
         with pytest.raises(ValueError, match="missing label for sentence 1"):
-            write_pseudo_labels(SourceCorpus(("a", "b")), ("x",), tmp_path / "o", "tsv")
+            write_pseudo_labels(("a", "b"), ("x",), tmp_path / "o", "tsv")
 
     def test_tsv_rejects_tabs(self, tmp_path):
         with pytest.raises(ValueError, match="tab"):
-            write_pseudo_labels(SourceCorpus(("a",)), ("x\ty",), tmp_path / "o", "tsv")
+            write_pseudo_labels(("a",), ("x\ty",), tmp_path / "o", "tsv")
 
     def test_byte_identical_across_runs(self, tmp_path):
-        sources = SourceCorpus(("a", "b"))
+        sources = ("a", "b")
         labels = ("x", "y")
         p1 = write_pseudo_labels(sources, labels, tmp_path / "one", "tsv")[0]
         p2 = write_pseudo_labels(sources, labels, tmp_path / "two", "tsv")[0]

@@ -1,6 +1,6 @@
 import pytest
 
-from nbdistill.corpus import ReferenceSet, SourceCorpus, load_nbest
+from nbdistill.corpus import ReferenceSet, load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, corpus_stats, sentence_bleu
 from nbdistill.mira import MiraConfig, WeightVector, tune_mira
@@ -13,7 +13,7 @@ def build(num_sentences, n, seed=0):
     sources, refs, hyps = make_corpus(num_sentences, n, seed=seed)
     corpus = load_nbest(nbest_lines(hyps))
     refset = ReferenceSet(tuple(tuple(r) for r in refs))
-    return SourceCorpus(tuple(sources)), corpus, refset, refs, hyps
+    return tuple(sources), corpus, refset, refs, hyps
 
 
 class TestKdTop1:
@@ -70,7 +70,7 @@ class TestRerankLabels:
         _, corpus, _, _, _ = build(5, 4, seed=6)
         matrix = assemble_matrix(corpus, passthrough=["total", "lm"], native=["len"])
         weights = WeightVector(matrix.feature_names, (0.2, -0.4, 0.6))
-        mask = select_models(weights, matrix.num_features)
+        mask = select_models(weights, len(matrix.feature_names))
         assert (
             rerank_labels(matrix, corpus, weights, mask)
             == rerank_labels(matrix, corpus, weights)
@@ -95,11 +95,12 @@ class TestStrategyDominance:
             corpus, passthrough=["total"], native=["mbr_bleu", "len_ratio"]
         )
         run = tune_mira(matrix, corpus, refset, MiraConfig(epochs=5, seed=0))
-        mask = select_models(run.best_weights, 2)
-        tuned_labels = rerank_labels(matrix, corpus, run.best_weights)
+        best = run.history[run.best_epoch][0]
+        mask = select_models(best, 2)
+        tuned_labels = rerank_labels(matrix, corpus, best)
         kd_labels = kd_top1(corpus)
-        tuned = corpus_bleu(corpus_stats(tuned_labels, refs)).value
-        kd = corpus_bleu(corpus_stats(kd_labels, refs)).value
+        tuned = corpus_bleu(corpus_stats(tuned_labels, refs))
+        kd = corpus_bleu(corpus_stats(kd_labels, refs))
         # epoch-0 candidate is the one-hot 'total' baseline, i.e. the KD top-1
         assert tuned >= kd - 1e-9
 

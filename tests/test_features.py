@@ -58,7 +58,7 @@ class TestMbrUtility:
         utilities = mbr_utility(texts, "sentence_chrf")
         for i, text in enumerate(texts):
             expected = sum(
-                sentence_chrf(text, [texts[j]]).value for j in range(3) if j != i
+                sentence_chrf(text, [texts[j]]) for j in range(3) if j != i
             ) / 2
             assert utilities[i] == pytest.approx(expected, abs=1e-9)
 

@@ -136,32 +136,28 @@ class TestSentenceStats:
 class TestCorpusBleu:
     def test_identity_is_exactly_100(self):
         stats = sentence_stats("a b c d e".split(), ["a b c d e".split()])
-        assert corpus_bleu(stats).value == 100.0
+        assert corpus_bleu(stats) == 100.0
 
     def test_short_identity_is_exactly_100(self):
         stats = sentence_stats("a b".split(), ["a b".split()])
-        assert corpus_bleu(stats).value == 100.0
+        assert corpus_bleu(stats) == 100.0
 
     def test_empty_hypothesis_is_zero(self):
         stats = sentence_stats([], ["a b".split()])
-        assert corpus_bleu(stats).value == 0.0
+        assert corpus_bleu(stats) == 0.0
 
     def test_agrees_with_oracle_on_toy_stats(self):
         hyp = "a b x c".split()
         refs = [["a", "b", "c"], ["a", "b", "y"]]
         stats = sentence_stats(hyp, refs)
         expected = bf_bleu_from_stats(*bf_sentence_stats(hyp, refs))
-        assert corpus_bleu(stats).value == pytest.approx(expected, abs=1e-9)
+        assert corpus_bleu(stats) == pytest.approx(expected, abs=1e-9)
 
     def test_constructed_stats_agree_with_formula(self):
+        # order 4 excluded (no hypothesis 4-grams), order 3 exp-smoothed, BP < 1
         stats = NGramStats((2, 1, 0, 0), (3, 2, 1, 0), 3, 4)
         expected = bf_bleu_from_stats([2, 1, 0, 0], [3, 2, 1, 0], 3, 4)
-        assert corpus_bleu(stats).value == pytest.approx(expected, abs=1e-9)
-        # order 4 excluded (no hypothesis 4-grams); order 3 exp-smoothed
-        score = corpus_bleu(stats)
-        assert score.precisions[3] == 0.0
-        assert score.precisions[2] == pytest.approx(1.0 / 2.0)
-        assert score.brevity_penalty == pytest.approx(math.exp(1.0 - 4.0 / 3.0))
+        assert corpus_bleu(stats) == pytest.approx(expected, abs=1e-9)
 
     def test_additivity_under_regrouping(self):
         _, refs, hyps = make_corpus(8, 1, seed=3)
@@ -178,7 +174,7 @@ class TestCorpusBleu:
     def test_corpus_of_reference_copies_scores_100(self):
         _, refs, _ = make_corpus(6, 1, seed=4, num_refs=2)
         hyps = [r[1] for r in refs]
-        assert corpus_bleu(corpus_stats(hyps, refs)).value == 100.0
+        assert corpus_bleu(corpus_stats(hyps, refs)) == 100.0
 
     @given(st.data())
     def test_adding_a_reference_never_decreases_clipping(self, data):
@@ -353,46 +349,46 @@ class TestSentenceBleu:
 
 class TestChrf:
     def test_identity(self):
-        assert sentence_chrf("hello world", ["hello world"]).value == 100.0
+        assert sentence_chrf("hello world", ["hello world"]) == 100.0
 
     def test_identity_short_string(self):
-        assert sentence_chrf("abc", ["abc"]).value == 100.0
+        assert sentence_chrf("abc", ["abc"]) == 100.0
 
     def test_empty_hypothesis(self):
-        assert sentence_chrf("", ["anything"]).value == 0.0
+        assert sentence_chrf("", ["anything"]) == 0.0
 
     def test_abcd_vs_abce_matches_oracle(self):
-        value = sentence_chrf("abcd", ["abce"]).value
+        value = sentence_chrf("abcd", ["abce"])
         assert value == pytest.approx(bf_sentence_chrf("abcd", ["abce"]), abs=1e-9)
         assert value == pytest.approx(47.91666666666667, abs=1e-9)
 
     def test_whitespace_runs_collapse(self):
-        assert sentence_chrf("a  b", ["a b"]).value == 100.0
-        assert sentence_chrf("\ta b\t", ["a b"]).value == 100.0
+        assert sentence_chrf("a  b", ["a b"]) == 100.0
+        assert sentence_chrf("\ta b\t", ["a b"]) == 100.0
 
     def test_multi_reference_takes_best(self):
-        score = sentence_chrf("abcd", ["zzzz", "abcd"]).value
+        score = sentence_chrf("abcd", ["zzzz", "abcd"])
         assert score == 100.0
 
     def test_corpus_aggregates_before_f(self):
         pairs = [("abcd", ["abce"]), ("hello", ["hello"])]
-        value = corpus_chrf(pairs).value
-        per_sentence = [sentence_chrf(h, r).value for h, r in pairs]
+        value = corpus_chrf(pairs)
+        per_sentence = [sentence_chrf(h, r) for h, r in pairs]
         assert value != pytest.approx(sum(per_sentence) / 2)
 
     @given(st.text(min_size=1, max_size=20))
     def test_self_similarity_is_100(self, text):
         if text.strip():
-            assert sentence_chrf(text, [text]).value == pytest.approx(100.0)
+            assert sentence_chrf(text, [text]) == pytest.approx(100.0)
         else:
-            assert sentence_chrf(text, [text]).value == 0.0
+            assert sentence_chrf(text, [text]) == 0.0
 
     @given(st.data())
     def test_matches_oracle_on_random_pairs(self, data):
         alphabet = "abcde "
         hyp = data.draw(st.text(alphabet=alphabet, max_size=15))
         refs = data.draw(st.lists(st.text(alphabet=alphabet, max_size=15), min_size=1, max_size=3))
-        value = sentence_chrf(hyp, refs).value
+        value = sentence_chrf(hyp, refs)
         assert value == pytest.approx(bf_sentence_chrf(hyp, refs), abs=1e-9)
 
 
@@ -400,5 +396,23 @@ class TestCorpusAgreement:
     def test_synthetic_corpus_matches_oracle(self):
         _, refs, hyps = make_corpus(30, 1, seed=11, num_refs=2)
         flat = [h[0] for h in hyps]
-        value = corpus_bleu(corpus_stats(flat, refs)).value
+        value = corpus_bleu(corpus_stats(flat, refs))
         assert value == pytest.approx(bf_corpus_bleu(flat, refs), abs=1e-9)
+
+
+def test_scores_are_plain_floats():
+    """Every score is a Python float, never a numpy scalar: ``dev_bleu.txt``
+    is written with ``repr``, and numpy 2 writes ``np.float64(50.0)``."""
+    refs = [["a b c d"], ["x y"]]
+    table = hyp_stats([["a b c d", "a b"], ["z"]], refs)
+    scores = [
+        corpus_bleu(corpus_stats(["a b c", "x y"], refs)),
+        corpus_bleu(sentence_stats([], [["a"]])),  # the empty hypothesis
+        table.bleu([1, 0]),
+        table.bleu(table.valid.argmin(axis=1)),  # picks as a numpy array
+        sentence_bleu("a b", ["a b c"]),
+        sentence_chrf("ab", ["abc"]),
+        sentence_chrf("", ["abc"]),
+        corpus_chrf([("ab", ["abc"]), ("x", ["y"])]),
+    ]
+    assert [type(score) for score in scores] == [float] * len(scores)

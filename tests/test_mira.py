@@ -48,6 +48,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^seed must be in 0..{2**64 - 1}, got {seed}$"):
             MiraConfig(seed=seed)
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("field", ["epochs", "seed"])
+    def test_counts_must_be_integers(self, field, value):
+        # a float failed only inside tune_mira, after its BLEU table was built
+        with pytest.raises(ValueError) as err:
+            MiraConfig(**{field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value}"
+
     def test_seed_range_ends_are_accepted(self):
         assert (MiraConfig(seed=0).seed, MiraConfig(seed=2**64 - 1).seed) == (0, 2**64 - 1)
 
@@ -105,7 +113,7 @@ class TestTune:
             assert weights == init
             assert bleu == run.history[0][1]
         assert run.best_epoch == 0
-        assert run.best_weights == init
+        assert run.history[run.best_epoch][0] == init
 
     def test_default_init_is_one_hot_total(self):
         corpus, refset, matrix, _, _ = build(4, 3)
@@ -116,7 +124,7 @@ class TestTune:
 
     def test_uniform_init(self):
         corpus, refset, matrix, _, _ = build(4, 3)
-        m = matrix.num_features
+        m = len(matrix.feature_names)
         run = tune_mira(matrix, corpus, refset, MiraConfig(epochs=1, init="uniform"))
         assert run.history[0][0].weights == (1.0 / m,) * m
 
@@ -162,16 +170,16 @@ class TestTune:
     def test_planted_signal_recovered(self):
         corpus, refset, matrix, refs, hyps = make_planted_instance(60, 6, seed=5)
         run = tune_mira(matrix, corpus, refset, MiraConfig(epochs=8, seed=0))
-        assert run.best_weights.weights[0] > 0
+        assert run.history[run.best_epoch][0].weights[0] > 0
         # beats every single-feature reranker on the tune set
         num_sentences = corpus.num_sentences
         singles = []
-        for j in range(matrix.num_features):
+        for j in range(len(matrix.feature_names)):
             sel = [
                 int(np.argmax(matrix.values[s][:, j])) for s in range(num_sentences)
             ]
             hyp = [hyps[s][sel[s]] for s in range(num_sentences)]
-            singles.append(corpus_bleu(corpus_stats(hyp, refs)).value)
+            singles.append(corpus_bleu(corpus_stats(hyp, refs)))
         assert run.history[run.best_epoch][1] >= max(singles) - 1e-9
 
     def test_misaligned_refs_rejected(self):
@@ -231,16 +239,16 @@ class TestEvaluateWeights:
             matrix.feature_names,
             tuple(1.0 if n == "total" else 0.0 for n in matrix.feature_names),
         )
-        value = rerank(matrix, corpus, one_hot, refs=refset).corpus_score.value
+        value = rerank(matrix, corpus, one_hot, refs=refset).corpus_score
         top1 = [h[0] for h in hyps]
-        assert value == corpus_bleu(corpus_stats(top1, refs)).value
+        assert value == corpus_bleu(corpus_stats(top1, refs))
 
     def test_zero_weights_select_rank0(self):
         corpus, refset, matrix, refs, hyps = build(10, 4, seed=7)
-        zeros = WeightVector(matrix.feature_names, (0.0,) * matrix.num_features)
-        value = rerank(matrix, corpus, zeros, refs=refset).corpus_score.value
+        zeros = WeightVector(matrix.feature_names, (0.0,) * len(matrix.feature_names))
+        value = rerank(matrix, corpus, zeros, refs=refset).corpus_score
         top1 = [h[0] for h in hyps]
-        assert value == corpus_bleu(corpus_stats(top1, refs)).value
+        assert value == corpus_bleu(corpus_stats(top1, refs))
 
     def test_two_sentence_toy_enumeration(self):
         corpus = load_nbest(
@@ -254,11 +262,11 @@ class TestEvaluateWeights:
         refset = ReferenceSet((("c d",), ("e f",)))
         matrix = assemble_matrix(corpus, passthrough=["f"])
         weights = WeightVector(("f",), (1.0,))
-        assert rerank(matrix, corpus, weights, refs=refset).corpus_score.value == 100.0
+        assert rerank(matrix, corpus, weights, refs=refset).corpus_score == 100.0
 
     def test_name_mismatch(self):
         corpus, refset, matrix, _, _ = build(3, 2)
-        wrong = WeightVector(("x",) * matrix.num_features, (1.0,) * matrix.num_features)
+        wrong = WeightVector(("x",) * len(matrix.feature_names), (1.0,) * len(matrix.feature_names))
         with pytest.raises(ValueError, match="match"):
             rerank(matrix, corpus, wrong, refs=refset)
 

@@ -12,7 +12,7 @@ import nbdistill.pipeline as pipeline
 from nbdistill.cli import main as cli_main
 from nbdistill.metrics import corpus_bleu, corpus_stats
 from nbdistill.corpus import LABEL_SUFFIXES, FormatError, ReferenceSet, label_paths, load_nbest
-from nbdistill.features import NATIVE_FEATURES, assemble_matrix
+from nbdistill.features import NATIVE_FEATURES, assemble_matrix, mbr_utility
 from nbdistill.mira import INIT_MODES, MiraConfig
 from nbdistill.pipeline import (
     CONFIG_KEYS,
@@ -572,12 +572,32 @@ class TestRunIteration:
         assert hooks == []
         assert list(Path(config.workdir).rglob("*")) == []
 
+    @pytest.mark.parametrize("field, value", [("top_k_models", 1.5), ("iterations_max", True)])
+    def test_a_count_that_is_no_integer_fails_before_the_first_stage(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        # top_k_models = 1.5 failed in the select stage, after four stages had run
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        monkeypatch.setattr(pipeline, "_run_hook", lambda *args: pytest.fail("a hook ran"))
+        with pytest.raises(ValueError) as err:
+            run_iteration(dataclasses.replace(config, **{field: value}))
+        assert str(err.value) == f"{field} must be an integer, got {value}"
+        assert list(Path(config.workdir).rglob("*")) == []
+
     def test_rerun_returns_ledger_entry(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
         first = run_iteration(config)
         again = run_iteration(config)
         assert again == first
         assert len(read_ledger(Path(config.workdir) / "ledger.jsonl")) == 1
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("field", ["iterations_max", "top_k_models"])
+def test_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError) as err:
+        _config(**{field: value}).validate()
+    assert str(err.value) == f"{field} must be an integer, got {value}"
 
 
 class TestCliMatchesStages:
@@ -700,6 +720,8 @@ LOOKUPS = {
     "oracle_select": ("oracle mode", "oracle, anti_oracle",
                       lambda name: oracle_select(_one_list(), ReferenceSet((("a",),)), name)),
     "MiraConfig": ("init mode", "zeros, uniform", lambda name: MiraConfig(init=name)),
+    "mbr_utility": ("MBR utility", "sentence_bleu, sentence_chrf",
+                    lambda name: mbr_utility(["a b"], name)),
     "assemble_matrix": ("native feature", "mbr_bleu, mbr_chrf, len, len_ratio",
                         lambda name: assemble_matrix(_one_list(), native=["len", name])),
     "label_paths": ("label format", "tsv, parallel", lambda name: label_paths("labels", name)),

@@ -8,7 +8,6 @@ from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, sentence_bleu
 from nbdistill.mira import WeightVector
 from nbdistill.rerank import (
-    SelectionMask,
     beam_sweep,
     format_sweep,
     oracle_select,
@@ -88,23 +87,37 @@ class TestRerank:
         assert result.corpus_score == corpus_bleu(total)
 
 
+def test_scores_are_plain_floats_and_a_mask_is_a_frozenset():
+    corpus, refset, matrix = build(4, 3, seed=2)
+    weights = WeightVector(matrix.feature_names, (1.0, 0.5, -0.5, 0.1))
+    scores = [
+        rerank(matrix, corpus, weights, refs=refset).corpus_score,
+        oracle_select(corpus, refset).corpus_score,
+        oracle_select(corpus, refset, "anti_oracle").corpus_score,
+    ]
+    rows, _ = beam_sweep(corpus, refset, [1, 3])
+    scores += [score for row in rows for score in (row.anti_oracle, row.top1, row.oracle)]
+    assert [type(score) for score in scores] == [float] * len(scores)
+    assert type(select_models(weights, 2)) is frozenset
+
+
 class TestSelectModels:
     def test_k_equals_m_keeps_all(self):
         weights = WeightVector(("a", "b", "c"), (0.1, -0.2, 0.3))
         mask = select_models(weights, 3)
-        assert mask.active == frozenset(("a", "b", "c"))
+        assert mask == frozenset(("a", "b", "c"))
 
     def test_k_larger_than_m_keeps_all(self):
         weights = WeightVector(("a", "b"), (0.1, -0.2))
-        assert select_models(weights, 10).active == frozenset(("a", "b"))
+        assert select_models(weights, 10) == frozenset(("a", "b"))
 
     def test_magnitude_selection(self):
         weights = WeightVector(("p", "q", "r"), (0.5, -0.9, 0.1))
-        assert select_models(weights, 1).active == frozenset(("q",))
+        assert select_models(weights, 1) == frozenset(("q",))
 
     def test_lexicographic_tie_break(self):
         weights = WeightVector(("b", "a", "c"), (0.3, -0.3, 0.2))
-        assert select_models(weights, 2).active == frozenset(("a", "b"))
+        assert select_models(weights, 2) == frozenset(("a", "b"))
 
     def test_matches_bruteforce(self):
         rng = random.Random(5)
@@ -113,7 +126,7 @@ class TestSelectModels:
             ws = tuple(rng.choice([-0.5, -0.25, 0.25, 0.5, rng.uniform(-1, 1)]) for _ in names)
             k = rng.randint(1, len(names))
             weights = WeightVector(names, ws)
-            assert select_models(weights, k).active == bf_topk_by_magnitude(names, ws, k)
+            assert select_models(weights, k) == bf_topk_by_magnitude(names, ws, k)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -122,7 +135,7 @@ class TestSelectModels:
     def test_mask_full_equals_no_mask(self):
         corpus, _, matrix = build(6, 4, seed=6)
         weights = WeightVector(matrix.feature_names, (0.4, -0.3, 0.2, 0.9))
-        full = select_models(weights, matrix.num_features)
+        full = select_models(weights, len(matrix.feature_names))
         assert (
             rerank(matrix, corpus, weights, mask=full).selections
             == rerank(matrix, corpus, weights).selections
@@ -134,7 +147,7 @@ class TestSelectModels:
         mask = select_models(weights, 2)
         masked_weights = WeightVector(
             matrix.feature_names,
-            tuple(w if n in mask.active else 0.0 for n, w in zip(matrix.feature_names, weights.weights)),
+            tuple(w if n in mask else 0.0 for n, w in zip(matrix.feature_names, weights.weights)),
         )
         assert (
             rerank(matrix, corpus, weights, mask=mask).selections
@@ -148,7 +161,7 @@ class TestOracle:
         oracle = oracle_select(corpus, refset, "oracle")
         anti = oracle_select(corpus, refset, "anti_oracle")
         assert oracle.selections == anti.selections == (0,) * 5
-        assert oracle.corpus_score.value == anti.corpus_score.value
+        assert oracle.corpus_score == anti.corpus_score
 
     def test_reference_in_list_is_chosen(self):
         corpus = load_nbest(
@@ -160,7 +173,7 @@ class TestOracle:
         refset = ReferenceSet((("the exact reference",),))
         result = oracle_select(corpus, refset, "oracle")
         assert result.selections == (1,)
-        assert result.corpus_score.value == 100.0
+        assert result.corpus_score == 100.0
 
     def test_exhaustive_agreement(self):
         corpus, refset, _ = build(10, 4, seed=9)
@@ -204,7 +217,7 @@ class TestBeamSweep:
         for _ in range(20):
             ws = tuple(rng.uniform(-1, 1) for _ in matrix.feature_names)
             weights = WeightVector(matrix.feature_names, ws)
-            score = rerank(matrix, corpus, weights, refs=refset).corpus_score.value
+            score = rerank(matrix, corpus, weights, refs=refset).corpus_score
             assert rows[0].oracle >= score - 1e-9
             assert rows[0].anti_oracle <= score + 1e-9
 
@@ -237,8 +250,8 @@ class TestBeamSweep:
         for n in sizes:
             best = [first(g[:n], max) for g in gains]
             worst = [first(g[:n], min) for g in gains]
-            want.append((corpus_score(worst).value, corpus_score([0] * 12).value,
-                         corpus_score(best).value))
+            want.append((corpus_score(worst), corpus_score([0] * 12),
+                         corpus_score(best)))
         rows, short_lists = beam_sweep(corpus, refset, sizes)
         assert repr([(r.anti_oracle, r.top1, r.oracle) for r in rows]) == repr(want)
         assert short_lists == sum(len(h) < n for n in sizes for h in hyps)
