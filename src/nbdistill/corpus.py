@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Collection, Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
@@ -46,12 +46,19 @@ def known(name: str, names: Collection[str], what: str) -> str:
     return name
 
 
-def integers(obj, *names: str) -> None:
-    """A ValueError unless each field ``names`` of ``obj`` is an int that is no bool."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+# per declared field type, the values it takes and their name; a bool is no number
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def typed(obj) -> None:
+    """A ValueError unless each dataclass field of ``obj`` declared ``int``,
+    ``float`` or ``str`` holds a value of that type (an int is a float)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _FIELD_TYPES:
+            types, name = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
 
 
 class FormatError(ValueError):
@@ -112,39 +119,6 @@ class ReferenceSet:
             raise ValueError("every sentence needs at least one reference")
         if any(not text.strip() for r in self.refs for text in r):
             raise ValueError("reference strings must be non-empty after trimming")
-
-    @property
-    def num_sentences(self) -> int:
-        return len(self.refs)
-
-
-@dataclass(frozen=True)
-class ExternalScoreTable:
-    """Out-of-process model scores keyed by (sentence id, rank)."""
-
-    feature_name: str
-    scores: Dict[Tuple[int, int], float]
-
-    def validate_against(self, corpus: NBestCorpus) -> None:
-        """Check that the key set exactly covers the corpus (no missing, no extra)."""
-        corpus_keys = {
-            (sid, rank)
-            for sid, texts in enumerate(corpus.texts)
-            for rank in range(len(texts))
-        }
-        table_keys = set(self.scores)
-        missing = sorted(corpus_keys - table_keys)
-        extra = sorted(table_keys - corpus_keys)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append("missing " + ", ".join(f"({s},{r})" for s, r in missing[:5]))
-            if extra:
-                parts.append("extra " + ", ".join(f"({s},{r})" for s, r in extra[:5]))
-            raise ValueError(
-                f"score table {self.feature_name!r} does not match corpus: "
-                + "; ".join(parts)
-            )
 
 
 def _parse_float(token: str, lineno: int, what: str, finite: bool = False) -> float:
@@ -312,8 +286,9 @@ def write_nbest(corpus: NBestCorpus, out: TextIO) -> None:
             out.write(f"{sid}{SEP}{text}{SEP}{score_fld}{SEP}{_fmt(total)}\n")
 
 
-def load_scores(stream: Iterable[str], feature_name: str) -> ExternalScoreTable:
-    """Parse a ``SID<TAB>RANK<TAB>SCORE`` stream (order-insensitive)."""
+def load_scores(stream: Iterable[str]) -> Dict[Tuple[int, int], float]:
+    """Parse a ``SID<TAB>RANK<TAB>SCORE`` stream (order-insensitive) into
+    ``{(sid, rank): score}``."""
     scores: Dict[Tuple[int, int], float] = {}
     for lineno, parts in read_fields(stream, "\t", 3):
         try:
@@ -328,7 +303,7 @@ def load_scores(stream: Iterable[str], feature_name: str) -> ExternalScoreTable:
         if key in scores:
             raise FormatError(f"duplicate key ({sid},{rank})", lineno)
         scores[key] = score
-    return ExternalScoreTable(feature_name, scores)
+    return scores
 
 
 def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import ExternalScoreTable, FormatError, NBestCorpus, _sentence_list, known, read_fields
+from .corpus import FormatError, NBestCorpus, _sentence_list, known, read_fields
 from .metrics import (
     CHRF_CHAR_ORDER,
     NGRAM_ORDER,
@@ -56,18 +56,14 @@ class FeatureMatrix:
         for arr in self.values:
             arr.flags.writeable = False
 
-    @property
-    def num_sentences(self) -> int:
-        return len(self.values)
-
     def best_rows(self, w: np.ndarray) -> Tuple[int, ...]:
         """Per list, the index of the first row with the highest ``rows @ w``."""
         return tuple(int((rows @ w).argmax()) for rows in self.values)
 
     def validate_against(self, corpus: NBestCorpus) -> None:
-        if self.num_sentences != corpus.num_sentences:
+        if len(self.values) != corpus.num_sentences:
             raise ValueError(
-                f"matrix has {self.num_sentences} sentences, corpus has "
+                f"matrix has {len(self.values)} sentences, corpus has "
                 f"{corpus.num_sentences}"
             )
         for sid, (arr, texts) in enumerate(zip(self.values, corpus.texts)):
@@ -152,16 +148,18 @@ def assemble_matrix(
     corpus: NBestCorpus,
     passthrough: Sequence[str] = (),
     native: Sequence[str] = (),
-    external_tables: Sequence[ExternalScoreTable] = (),
+    external: Sequence[Tuple[str, Dict[Tuple[int, int], float]]] = (),
 ) -> FeatureMatrix:
     """Fan all configured feature sources into one validated matrix.
 
-    Column order is: passthrough names, native features, external tables,
-    each in the order given.  Before any feature is computed, names must be
-    unique, every external table must cover exactly the corpus's (sentence,
-    rank) set, and every passthrough and external value must be finite.
+    ``external`` holds the external score tables as (feature name,
+    ``{(sid, rank): score}``) pairs.  Column order is: passthrough names,
+    native features, external tables, each in the order given.  Before any
+    feature is computed, names must be unique, every external table must
+    cover exactly the corpus's (sentence, rank) set, and every passthrough
+    and external value must be finite.
     """
-    names = (*passthrough, *native, *(table.feature_name for table in external_tables))
+    names = (*passthrough, *native, *(name for name, _ in external))
     if not names:
         raise ValueError("zero features configured")
     for feature in native:
@@ -171,13 +169,18 @@ def assemble_matrix(
         if name in seen:
             raise ValueError(f"duplicate feature name {name!r}")
         seen.add(name)
-    for table in external_tables:
-        table.validate_against(corpus)
+    keys = {(sid, rank) for sid, texts in enumerate(corpus.texts) for rank in range(len(texts))}
+    for name, scores in external:
+        missing, extra = sorted(keys - scores.keys()), sorted(scores.keys() - keys)
+        if missing or extra:
+            parts = [what + " " + ", ".join(f"({s},{r})" for s, r in pairs[:5])
+                     for what, pairs in (("missing", missing), ("extra", extra)) if pairs]
+            raise ValueError(f"score table {name!r} does not match corpus: " + "; ".join(parts))
     passed = [col for _, col in passthrough_features(corpus, passthrough)]
     given = []  # each list's passthrough rows, then its external rows
     for sid, texts in enumerate(corpus.texts):
         rows = [col[sid] for col in passed] + [
-            [t.scores[(sid, rank)] for rank in range(len(texts))] for t in external_tables
+            [scores[(sid, rank)] for rank in range(len(texts))] for _, scores in external
         ]
         if not np.isfinite(rows).all():
             raise ValueError(f"non-finite feature value at sentence {sid}")

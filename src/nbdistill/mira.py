@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, integers, known, read_fields
+from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, known, read_fields, typed
 from .features import FeatureMatrix
 from .metrics import hyp_stats
 
@@ -52,9 +52,6 @@ class WeightVector:
         if any(not math.isfinite(w) for w in self.weights):
             raise ValueError("weights must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class MiraConfig:
@@ -64,9 +61,9 @@ class MiraConfig:
     init: str = "zeros"
 
     def __post_init__(self):
+        typed(self)
         if not 0 < self.c < math.inf:  # NaN too
             raise ValueError(f"c must be positive and finite, got {self.c}")
-        integers(self, "epochs", "seed")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         known(self.init, INIT_MODES, "init mode")
@@ -217,17 +214,11 @@ def tune_mira(
     return TuneRun(tuple(history), best_epoch)
 
 
-def write_weights(
-    weights: WeightVector,
-    out: TextIO,
-    best_epoch: Optional[int] = None,
-    tune_bleu: Optional[float] = None,
-) -> None:
+def write_weights(weights: WeightVector, out: TextIO, best_epoch: int, tune_bleu: float) -> None:
     """``NAME<TAB>WEIGHT`` per line in column order, plus a trailer comment."""
     for name, w in zip(weights.feature_names, weights.weights):
         out.write(f"{name}\t{repr(float(w))}\n")
-    if best_epoch is not None and tune_bleu is not None:
-        out.write(f"#best_epoch\t{best_epoch}\t#tune_bleu\t{tune_bleu:.4f}\n")
+    out.write(f"#best_epoch\t{best_epoch}\t#tune_bleu\t{tune_bleu:.4f}\n")
 
 
 def load_weights(stream: Iterable[str]) -> WeightVector:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import shlex
 import shutil
 import subprocess
@@ -48,7 +49,6 @@ from .corpus import (
     FormatError,
     NBestCorpus,
     _parse_float,
-    integers,
     known,
     label_paths,
     load_file,
@@ -59,6 +59,7 @@ from .corpus import (
     load_sources,
     open_out,
     read_fields,
+    typed,
     write_pseudo_labels,
     write_text,
 )
@@ -98,7 +99,7 @@ class PipelineConfig:
     label_format: str = "tsv"
 
     def validate(self) -> None:
-        integers(self, "iterations_max", "top_k_models")
+        typed(self)
         if self.iterations_max < 1:
             raise ValueError("iterations_max must be >= 1")
         if not self.min_delta >= 0:  # NaN too
@@ -161,7 +162,7 @@ class PipelineConfig:
                 raise FormatError(f"unknown config section {name!r}", where.get(name))
         kwargs: Dict[str, object] = {}
         mira: Dict[str, object] = {}
-        for name, keys in _KEY_TABLE.items():
+        for name, keys in CONFIG_KEYS.items():
             sec = sections.get(name, {})
             if not isinstance(sec, dict):
                 raise FormatError(f"config section {name!r} must be a mapping")
@@ -237,7 +238,7 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
 # the field's declared type, and is required exactly when the field has no
 # default.  [hooks] becomes the ``hooks`` mapping and also accepts any
 # score_<name>; data.test_src and data.test_refs are accepted and ignored.
-_KEY_TABLE = {
+CONFIG_KEYS = {
     "pipeline": ("workdir", "iterations_max", "min_delta", "top_k_models", "label_format"),
     "data": ("tune_src", "tune_refs", "dev_src", "dev_refs", "transfer_src",
              "test_src", "test_refs"),
@@ -245,7 +246,6 @@ _KEY_TABLE = {
     "hooks": ("generate_nbest",),
     "mira": ("c", "epochs", "seed", "init"),
 }
-CONFIG_KEYS = {name: set(keys) for name, keys in _KEY_TABLE.items()}
 _NUMBERS = {"int": int, "float": float}
 
 
@@ -296,6 +296,9 @@ class IterationState:
     started: str
     finished: str
 
+    def __post_init__(self):
+        typed(self)
+
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -303,10 +306,6 @@ def _utc_now() -> str:
 
 def ledger_path(workdir: str | Path) -> Path:
     return Path(workdir) / LEDGER_NAME
-
-
-# the JSON values each IterationState field accepts; a boolean is no number
-_LEDGER_TYPES = {"int": int, "float": (float, int), "str": str}
 
 
 def read_ledger(path: str | Path) -> List[IterationState]:
@@ -324,10 +323,6 @@ def _ledger_entries(stream: Iterable[str]) -> List[IterationState]:
                 # earlier versions recorded hook exit statuses, always 0
                 obj.pop("hook_statuses", None)
             state = IterationState(**obj)
-            for f in fields(state):
-                value = getattr(state, f.name)
-                if isinstance(value, bool) or not isinstance(value, _LEDGER_TYPES[f.type]):
-                    raise TypeError(f"{f.name} must be {f.type}, got {json.dumps(value)}")
             if not math.isfinite(state.dev_bleu):  # OverflowError for a huge integer
                 raise ValueError(f"dev_bleu must be finite, got {json.dumps(state.dev_bleu)}")
             states.append(state)
@@ -381,7 +376,7 @@ def assemble_file(
     """Write the feature matrix of an n-best file; ``scores`` holds the
     external score tables as (feature name, path) pairs."""
     corpus = load_file(nbest, load_nbest)
-    tables = [load_file(path, load_scores, name) for name, path in scores]
+    tables = [(name, load_file(path, load_scores)) for name, path in scores]
     matrix = assemble_matrix(corpus, passthrough, native, tables)
     with open_out(out) as f:
         write_matrix(matrix, f)
@@ -396,7 +391,7 @@ def tune_file(
     run = tune_mira(load_file(matrix, load_matrix), corpus, load_reference_files(refs), config)
     weights, bleu = run.history[run.best_epoch]
     with open_out(out) as f:
-        write_weights(weights, f, best_epoch=run.best_epoch, tune_bleu=bleu)
+        write_weights(weights, f, run.best_epoch, bleu)
     return run
 
 
@@ -463,13 +458,11 @@ def distill_file(
 
 def _run_hook(it: _Iteration, hook: str, set_name: str, in_path: Path, out_path: Path) -> None:
     stage = f"{hook}[{set_name}]"
-    cmd = (
-        it.config.hooks[hook].replace("{ITER}", str(it.n))
-        .replace("{IN}", shlex.quote(str(in_path)))
-        .replace("{OUT}", shlex.quote(str(out_path)))
-    )
+    # one pass, so that a placeholder inside a substituted path stays as it is
+    values = {"ITER": str(it.n), "IN": shlex.quote(str(in_path)), "OUT": shlex.quote(str(out_path))}
+    cmd = re.sub(r"\{(ITER|IN|OUT)\}", lambda m: values[m[1]], it.config.hooks[hook])
     proc = subprocess.run(
-        cmd, shell=True, cwd=str(it.dir), capture_output=True, text=True
+        cmd, shell=True, cwd=str(it.dir), capture_output=True, text=True, errors="replace"
     )
     if proc.returncode != 0:
         tail = "\n".join(proc.stderr.strip().splitlines()[-5:])

@@ -58,7 +58,7 @@ def select_models(weights: WeightVector, k: int) -> frozenset:
 
 
 def _masked_weights(weights: WeightVector, mask: Optional[frozenset]) -> np.ndarray:
-    w = weights.as_array()
+    w = np.asarray(weights.weights, dtype=np.float64)
     if mask is None:
         return w
     unknown = mask - set(weights.feature_names)

@@ -206,11 +206,11 @@ def make_planted_instance(num_sentences=200, n=8, seed=42, noise_seed=7):
             for sid in range(num_sentences)
             for rank in range(n)
         ]
-        return load_scores(lines, name)
+        return name, load_scores(lines)
 
     signal = table("signal", lambda s, r: gains[s][r] + rng.gauss(0, 0.5))
     noises = [
         table(f"noise{i}", lambda s, r: rng.gauss(0, 5.0)) for i in range(1, 4)
     ]
-    matrix = assemble_matrix(corpus, external_tables=[signal] + noises)
+    matrix = assemble_matrix(corpus, external=[signal] + noises)
     return corpus, refset, matrix, refs, hyps

@@ -112,9 +112,9 @@ def test_criterion_3_rerank_matches_exhaustive_argmax():
                 for sid, sentence_hyps in enumerate(ragged)
                 for rank in range(len(sentence_hyps))
             ]
-            noise.append(load_scores(lines, name))
+            noise.append((name, load_scores(lines)))
         matrix = assemble_matrix(
-            corpus, passthrough=["total", "lm"], native=["len"], external_tables=noise
+            corpus, passthrough=["total", "lm"], native=["len"], external=noise
         )
         assert len(matrix.feature_names) == 6
         rows = [arr.tolist() for arr in matrix.values]

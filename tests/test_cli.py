@@ -505,6 +505,62 @@ class TestErrorsNameTheFile:
         assert (code, err) == (1, f"error: {bad_file}: {message}\n")
 
 
+class TestInputsThatDoNotFit:
+    """Files that each parse but do not belong together fail with exit 1
+    and one error line, before any output is written."""
+
+    @pytest.fixture
+    def matrix(self, workspace, capsys):
+        code, _, _ = run(capsys, "assemble", "--nbest", workspace / "nbest.txt",
+                         "--passthrough", "total", "--out", workspace / "matrix.tsv")
+        assert code == 0
+        (workspace / "weights.tsv").write_text("total\t1.0\n")
+        return workspace / "matrix.tsv"
+
+    @pytest.mark.parametrize("command", ["tune", "rerank"])
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(lambda hyps: hyps[:9], "matrix has 10 sentences, corpus has 9"),
+         (lambda hyps: hyps[:3] + [hyps[3][:3]] + hyps[4:],
+          "sentence 3: matrix has 4 rows, corpus has 3 hypotheses")],
+        ids=["fewer-sentences", "shorter-list"],
+    )
+    def test_matrix_of_another_nbest_file(self, workspace, matrix, capsys, command, cut,
+                                          message):
+        _, _, hyps = make_corpus(10, 4, seed=20, num_refs=2)
+        write_lines(workspace / "other.txt", nbest_lines(cut(hyps)))
+        argv = {"tune": ["--refs", workspace / "ref0.txt"],
+                "rerank": ["--weights", workspace / "weights.tsv"]}[command]
+        out = workspace / "out.tsv"
+        code, stdout, err = run(capsys, command, "--matrix", matrix,
+                                "--nbest", workspace / "other.txt", *argv, "--out", out)
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sources, message",
+        [(lambda lines: lines[:9], "label for unknown sentence 9"),
+         (lambda lines: lines[:2] + ["a\tb"] + lines[3:],
+          "source sentence 2 contains a tab (tsv format)")],
+        ids=["short-src", "tab-in-src"],
+    )
+    def test_sources_that_do_not_fit_the_labels(self, workspace, capsys, sources, message):
+        lines = (workspace / "src.txt").read_text().splitlines()
+        write_lines(workspace / "bad.src", sources(lines))
+        code, stdout, err = run(capsys, "distill", "--strategy", "kd",
+                                "--nbest", workspace / "nbest.txt",
+                                "--src", workspace / "bad.src", "--out", workspace / "labels")
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not (workspace / "labels.tsv").exists()
+
+
+def test_python_m_nbdistill_prints_the_usage(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "nbdistill", "--help"], cwd=tmp_path,
+                          env=_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: nbdistill ")
+
+
 class TestConfigSyntaxErrors:
     """A config file that does not parse is named with its bad line, in a
     fresh process, so an escaping exception would show as a traceback."""

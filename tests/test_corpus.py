@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nbdistill.corpus import (
-    ExternalScoreTable,
     FormatError,
     NBestCorpus,
     load_file,
@@ -19,7 +18,7 @@ from nbdistill.corpus import (
     write_pseudo_labels,
     write_text,
 )
-from nbdistill.features import load_matrix
+from nbdistill.features import assemble_matrix, load_matrix
 from nbdistill.mira import load_weights
 from nbdistill.pipeline import read_ledger
 
@@ -169,7 +168,7 @@ LEDGER_LINE = (
     "load, template, line",
     [
         (lambda path: load_file(path, load_nbest), "{} ||| a |||  ||| 0.0\n", 1),
-        (lambda path: load_file(path, load_scores, "lm"), "{}\t0\t1.0\n", 1),
+        (lambda path: load_file(path, load_scores), "{}\t0\t1.0\n", 1),
         (lambda path: load_file(path, load_matrix), "#features\tf\n{}\t0\t1.0\n", 2),
         # weights and the ledger have no sentence ids: the value goes where it
         # repeats a weight name, or is no JSON string
@@ -200,27 +199,24 @@ def test_invalid_utf8_names_the_file_and_the_line(tmp_path):
 
 class TestLoadScores:
     def test_empty_stream_gives_empty_table(self):
-        table = load_scores([], "lm")
-        assert table.scores == {}
-        assert table.feature_name == "lm"
+        assert load_scores([]) == {}
 
     def test_single_entry(self):
-        table = load_scores(["0\t0\t-3.5"], "lm")
-        assert table.scores == {(0, 0): -3.5}
+        assert load_scores(["0\t0\t-3.5"]) == {(0, 0): -3.5}
 
     def test_duplicate_key(self):
         with pytest.raises(FormatError, match=r"duplicate key \(0,1\)"):
-            load_scores(["0\t1\t1.0", "0\t1\t2.0"], "lm")
+            load_scores(["0\t1\t1.0", "0\t1\t2.0"])
 
     def test_negative_ids(self):
         with pytest.raises(FormatError, match="negative"):
-            load_scores(["-1\t0\t1.0"], "lm")
+            load_scores(["-1\t0\t1.0"])
 
     def test_unparseable_score(self):
         with pytest.raises(FormatError, match="unparseable"):
-            load_scores(["0\t0\tabc"], "lm")
+            load_scores(["0\t0\tabc"])
         with pytest.raises(FormatError, match="non-finite"):
-            load_scores(["0\t0\tnan"], "lm")
+            load_scores(["0\t0\tnan"])
 
     def test_validate_reports_missing_keys(self):
         corpus = load_nbest(
@@ -230,19 +226,19 @@ class TestLoadScores:
                 "0 ||| c |||  ||| 0.8",
             ]
         )
-        table = load_scores(["0\t0\t1.0", "0\t1\t2.0"], "lm")
+        table = load_scores(["0\t0\t1.0", "0\t1\t2.0"])
         with pytest.raises(ValueError, match=r"missing \(0,2\)"):
-            table.validate_against(corpus)
+            assemble_matrix(corpus, external=[("lm", table)])
 
     def test_validate_reports_extra_keys(self):
         corpus = load_nbest(["0 ||| a |||  ||| 1.0"])
-        table = load_scores(["0\t0\t1.0", "9\t9\t2.0"], "lm")
+        table = load_scores(["0\t0\t1.0", "9\t9\t2.0"])
         with pytest.raises(ValueError, match=r"extra \(9,9\)"):
-            table.validate_against(corpus)
+            assemble_matrix(corpus, external=[("lm", table)])
 
     @given(st.permutations(["0\t0\t1.5", "0\t1\t-2.0", "1\t0\t3.25", "1\t1\t0.0"]))
     def test_order_insensitive(self, lines):
-        assert load_scores(lines, "x") == load_scores(sorted(lines), "x")
+        assert load_scores(lines) == load_scores(sorted(lines))
 
 
 class TestParallel:

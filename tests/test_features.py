@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbdistill.corpus import load_nbest, load_scores
+from nbdistill.corpus import FormatError, load_nbest, load_scores
 from nbdistill.features import (
     FeatureMatrix,
     assemble_matrix,
@@ -150,21 +150,20 @@ class TestAssemble:
 
     def test_single_external_table(self):
         corpus = small_corpus()
-        table = load_scores(
-            [f"{s}\t{r}\t{s + r / 10}" for s, n in ((0, 3), (1, 2)) for r in range(n)],
-            "ext",
+        scores = load_scores(
+            [f"{s}\t{r}\t{s + r / 10}" for s, n in ((0, 3), (1, 2)) for r in range(n)]
         )
-        matrix = assemble_matrix(corpus, external_tables=[table])
+        matrix = assemble_matrix(corpus, external=[("ext", scores)])
         assert matrix.feature_names == ("ext",)
         assert matrix.values[0].shape == (3, 1)
         assert matrix.values[1][1, 0] == 1.1
 
     def test_column_order_and_shapes(self):
         corpus = load_nbest(nbest_lines(make_corpus(2, 3, seed=5)[2]))
-        ext1 = load_scores([f"{s}\t{r}\t1.0" for s in range(2) for r in range(3)], "e1")
-        ext2 = load_scores([f"{s}\t{r}\t2.0" for s in range(2) for r in range(3)], "e2")
+        ext1 = ("e1", load_scores([f"{s}\t{r}\t1.0" for s in range(2) for r in range(3)]))
+        ext2 = ("e2", load_scores([f"{s}\t{r}\t2.0" for s in range(2) for r in range(3)]))
         matrix = assemble_matrix(
-            corpus, passthrough=["total"], native=["mbr_bleu"], external_tables=[ext1, ext2]
+            corpus, passthrough=["total"], native=["mbr_bleu"], external=[ext1, ext2]
         )
         assert matrix.feature_names == ("total", "mbr_bleu", "e1", "e2")
         for arr in matrix.values:
@@ -173,16 +172,16 @@ class TestAssemble:
 
     def test_duplicate_feature_name(self):
         corpus = small_corpus()
-        table = load_scores(
-            [f"{s}\t{r}\t0.0" for s, n in ((0, 3), (1, 2)) for r in range(n)], "total"
+        scores = load_scores(
+            [f"{s}\t{r}\t0.0" for s, n in ((0, 3), (1, 2)) for r in range(n)]
         )
         with pytest.raises(ValueError, match="duplicate feature name"):
-            assemble_matrix(corpus, passthrough=["total"], external_tables=[table])
+            assemble_matrix(corpus, passthrough=["total"], external=[("total", scores)])
 
     def test_incomplete_external_table(self):
         with pytest.raises(ValueError, match="missing"):
             assemble_matrix(
-                small_corpus(), external_tables=[load_scores(["0\t0\t1.0"], "e")]
+                small_corpus(), external=[("e", load_scores(["0\t0\t1.0"]))]
             )
 
     def test_non_finite_passthrough_rejected(self):
@@ -220,7 +219,7 @@ class TestAssemble:
                 corpus,
                 passthrough=["lm"],
                 native=("mbr_bleu", "mbr_chrf"),
-                external_tables=[load_scores(table_lines, table_name)],
+                external=[(table_name, load_scores(table_lines))],
             )
 
     def test_unknown_native_feature(self):
@@ -278,3 +277,14 @@ class TestMatrixIO:
     def test_rank_gap_rejected(self):
         with pytest.raises(ValueError, match="rank"):
             load_matrix(io.StringIO("#features\ta\n0\t0\t1.0\n0\t2\t1.0\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("#features\ta\n0\t0\t1.0\n0\t1\tinf\n", "line 3: non-finite feature value"),
+         ("#features\ta\tb\ta\n0\t0\t1.0\t2.0\t3.0\n", "line 1: duplicate feature name in header")],
+        ids=["non-finite", "duplicate-name"],
+    )
+    def test_bad_value_or_header_names_its_line(self, text, message):
+        with pytest.raises(FormatError) as err:
+            load_matrix(io.StringIO(text))
+        assert str(err.value) == message

@@ -66,7 +66,7 @@ epochs = 3
 }
 LOADERS = {
     "nbest": lambda path: load_file(path, load_nbest),
-    "scores": lambda path: load_file(path, load_scores, "lm"),
+    "scores": lambda path: load_file(path, load_scores),
     "matrix": lambda path: load_file(path, load_matrix),
     "weights": lambda path: load_file(path, load_weights),
     # the second file is a valid copy, so a changed line count is a mismatch

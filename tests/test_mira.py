@@ -48,13 +48,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^seed must be in 0..{2**64 - 1}, got {seed}$"):
             MiraConfig(seed=seed)
 
-    @pytest.mark.parametrize("value", [1.5, True])
-    @pytest.mark.parametrize("field", ["epochs", "seed"])
-    def test_counts_must_be_integers(self, field, value):
+    @pytest.mark.parametrize("field, value, kind", [
+        *((field, value, "an integer") for field in ("epochs", "seed") for value in (1.5, True)),
+        ("c", True, "a number"),  # True < 1 held, so c=True was a step size of 1
+    ])
+    def test_counts_must_be_integers(self, field, value, kind):
         # a float failed only inside tune_mira, after its BLEU table was built
         with pytest.raises(ValueError) as err:
             MiraConfig(**{field: value})
-        assert str(err.value) == f"{field} must be an integer, got {value}"
+        assert str(err.value) == f"{field} must be {kind}, got {value}"
 
     def test_seed_range_ends_are_accepted(self):
         assert (MiraConfig(seed=0).seed, MiraConfig(seed=2**64 - 1).seed) == (0, 2**64 - 1)

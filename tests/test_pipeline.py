@@ -331,7 +331,7 @@ class TestConfig:
         sections = schema["properties"]
         assert set(CONFIG_KEYS) == set(sections)
         for name, keys in CONFIG_KEYS.items():
-            assert keys == set(sections[name]["properties"]), name
+            assert set(keys) == set(sections[name]["properties"]), name
         assert set(sections["hooks"]["patternProperties"]) == {"^score_.+$"}
         # every schema default is the dataclass default
         defaults = {
@@ -419,6 +419,20 @@ class TestConfig:
         (tmp_path / "dev.src").unlink()
         with pytest.raises(ValueError, match="dev_src"):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"top_k_models": 0}, "top_k_models must be >= 1"),
+         ({"tune_refs": ()}, "tune_refs must name at least one file"),
+         ({"dev_refs": ("missing.ref",)}, "dev_refs file not found: missing.ref")],
+        ids=["top-k-zero", "no-tune-refs", "missing-dev-refs"],
+    )
+    def test_config_check_text(self, tmp_path, monkeypatch, changes, message):
+        monkeypatch.chdir(tmp_path)
+        config = minimal_config(tmp_path, **changes)
+        with pytest.raises(ValueError) as err:
+            config.validate()
+        assert str(err.value) == message
 
 
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
@@ -552,12 +566,36 @@ class TestRunIteration:
         state = run_iteration(config)
         assert Path(state.labels_path).is_file()
 
-    def test_hooks_get_quoted_paths_with_spaces(self, tmp_path):
+    # a placeholder inside a substituted path is part of the path
+    @pytest.mark.parametrize("dirname", ["work dir", "work {OUT} dir", "work {IN} dir"])
+    def test_hooks_get_quoted_paths_with_spaces(self, tmp_path, dirname):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
-        config = dataclasses.replace(config, workdir=tmp_path / "work dir")
+        config = dataclasses.replace(config, workdir=tmp_path / dirname)
         state = run_iteration(config)
         assert Path(state.labels_path).is_file()
-        assert (tmp_path / "work dir" / "iter1" / "nbest.tune.txt").is_file()
+        assert (tmp_path / dirname / "iter1" / "nbest.tune.txt").is_file()
+
+    def test_undecodable_stderr_of_a_hook_that_succeeds(self, tmp_path):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        hook = config.hooks["score_lm"] + r" && printf '\377' >&2"
+        state = run_iteration(dataclasses.replace(config, hooks={**config.hooks, "score_lm": hook}))
+        assert Path(state.labels_path).is_file()
+
+    def test_undecodable_stderr_of_a_hook_that_fails(self, tmp_path):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        hook = r"printf 'bad \377 byte' >&2; exit 1"
+        with pytest.raises(HookError) as err:
+            run_iteration(dataclasses.replace(config, hooks={**config.hooks, "score_lm": hook}))
+        assert str(err.value) == f"stage score_lm[tune]: hook exited 1: {hook}\nbad \ufffd byte"
+
+    def test_next_iteration_needs_the_previous_labels(self, tmp_path):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
+        first = run_iteration(config)
+        Path(first.labels_path).unlink()
+        with pytest.raises(ValueError) as err:
+            run_iteration(config, first)
+        assert str(err.value) == f"iteration 2 needs the previous labels: {first.labels_path}"
+        assert not (Path(config.workdir) / "iter2").exists()
 
     def test_invalid_config_fails_before_the_first_stage(self, tmp_path, monkeypatch):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
@@ -592,12 +630,15 @@ class TestRunIteration:
         assert len(read_ledger(Path(config.workdir) / "ledger.jsonl")) == 1
 
 
-@pytest.mark.parametrize("value", [1.5, True])
-@pytest.mark.parametrize("field", ["iterations_max", "top_k_models"])
-def test_counts_must_be_integers(field, value):
+@pytest.mark.parametrize("field, value, kind", [
+    *((field, value, "an integer") for field in ("iterations_max", "top_k_models")
+      for value in (1.5, True)),
+    ("min_delta", True, "a number"),
+])
+def test_counts_must_be_integers(field, value, kind):
     with pytest.raises(ValueError) as err:
         _config(**{field: value}).validate()
-    assert str(err.value) == f"{field} must be an integer, got {value}"
+    assert str(err.value) == f"{field} must be {kind}, got {value}"
 
 
 class TestCliMatchesStages:
@@ -905,6 +946,19 @@ class TestSelfTrain:
             )
         summary = json.loads((workdir / "final.json").read_text())
         assert Path(summary["labels"]).name == "final.labels.tgt"
+
+    @pytest.mark.parametrize("label", ["weights", "labels"])
+    def test_a_ledger_entry_whose_file_is_gone_fails_before_any_stage(
+        self, tmp_path, monkeypatch, label
+    ):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path, iterations=2))
+        first = run_iteration(config)
+        missing = getattr(first, f"{label}_path")
+        Path(missing).unlink()
+        monkeypatch.setattr(pipeline, "_run_hook", lambda *args: pytest.fail("a hook ran"))
+        with pytest.raises(ValueError) as err:
+            run_selftrain(config)
+        assert str(err.value) == f"ledger iteration 1 references a missing {label} file: {missing}"
 
     def test_rerun_on_finished_workdir_is_stable(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))

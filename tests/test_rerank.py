@@ -155,6 +155,14 @@ class TestSelectModels:
         )
 
 
+    def test_mask_of_unknown_features_is_an_error(self):
+        corpus, _, matrix = build(3, 2, seed=8)
+        weights = WeightVector(matrix.feature_names, (0.4, -0.3, 0.2, 0.9))
+        with pytest.raises(ValueError) as err:
+            rerank(matrix, corpus, weights, mask=frozenset({"total", "tm2", "bleu"}))
+        assert str(err.value) == "mask names unknown features: ['bleu', 'tm2']"
+
+
 class TestOracle:
     def test_single_hypothesis_lists(self):
         corpus, refset, _ = build(5, 1, seed=8)
