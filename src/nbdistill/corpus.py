@@ -18,9 +18,9 @@ File formats (all UTF-8, ``\\n`` line endings):
 
 Every loader reads its lines through ``read_fields``.  A malformed line raises
 a ``FormatError`` whose ``line`` is its 1-based number.  ``naming``, used by
-``load_file`` and ``load_references``, alone puts a path in front of an error:
+``load_file`` alone, puts a path in front of an error:
 ``PATH: line 7: ...``, or ``PATH: ...`` for one about the whole file.  Only
-errors about a whole stream (an empty n-best list, reference streams of
+errors about a whole stream (an empty n-best list, reference files of
 different lengths) have no line.
 
 Text is carried verbatim (no unicode normalization); everything loaded here
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Collection, Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
@@ -46,19 +46,31 @@ def known(name: str, names: Collection[str], what: str) -> str:
     return name
 
 
-# per declared field type, the values it takes and their name; a bool is no number
-_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string")}
+_PATH = (str, os.PathLike)
+# per declared field type: the types of the value, or of each item of its tuple
+# or key and value of its dict, and what it must be; a bool is no number
+_FIELD_TYPES = {
+    "int": (int, "be an integer"), "float": ((int, float), "be a number"),
+    "str": (str, "be a string"), "Path": (_PATH, "be a path"),
+    "Tuple[str, ...]": (str, "be a tuple of strings"),
+    "Tuple[Path, ...]": (_PATH, "be a tuple of paths"),
+    "Dict[str, str]": (str, "map names to strings"),
+}
 
 
 def typed(obj) -> None:
-    """A ValueError unless each dataclass field of ``obj`` declared ``int``,
-    ``float`` or ``str`` holds a value of that type (an int is a float)."""
+    """A ValueError unless each dataclass field of ``obj`` declared with a
+    ``_FIELD_TYPES`` type holds a value of it (an int is a float, a str a path)."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
         if f.type in _FIELD_TYPES:
-            types, name = _FIELD_TYPES[f.type]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+            types, must = _FIELD_TYPES[f.type]
+            value = getattr(obj, f.name)
+            holder = {"Tuple": tuple, "Dict": dict}.get(f.type.partition("[")[0])
+            items = ([value] if not holder
+                     else [*value, *value.values()] if isinstance(value, dict) else value)
+            if holder and not isinstance(value, holder) or any(
+                    isinstance(item, bool) or not isinstance(item, types) for item in items):
+                raise ValueError(f"{f.name} must {must}, got {value!r}")
 
 
 class FormatError(ValueError):
@@ -106,19 +118,6 @@ class NBestCorpus:
     @property
     def n_max(self) -> int:
         return max(len(texts) for texts in self.texts)
-
-
-@dataclass(frozen=True)
-class ReferenceSet:
-    """Per-sentence reference translations (one or more per sentence)."""
-
-    refs: Tuple[Tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if any(not r for r in self.refs):
-            raise ValueError("every sentence needs at least one reference")
-        if any(not text.strip() for r in self.refs for text in r):
-            raise ValueError("reference strings must be non-empty after trimming")
 
 
 def _parse_float(token: str, lineno: int, what: str, finite: bool = False) -> float:
@@ -239,9 +238,10 @@ def load_file(path: str | Path, load: Callable, *args):
         return load(f, *args)
 
 
-def load_lines(path: str | Path) -> List[str]:
-    """The lines of the UTF-8 text file ``path``, without their ``\\n``."""
-    return load_file(path, lambda stream: [line for _, (line,) in read_fields(stream)])
+def load_lines(path: str | Path, name: str | None = None) -> List[str]:
+    """The lines of the UTF-8 text file ``path``, without their ``\\n``; with
+    a ``name``, a blank line is an error that calls the file a ``name`` stream."""
+    return load_file(path, lambda stream: [line for _, (line,) in read_fields(stream, name=name)])
 
 
 @contextmanager
@@ -306,31 +306,16 @@ def load_scores(stream: Iterable[str]) -> Dict[Tuple[int, int], float]:
     return scores
 
 
-def load_references(streams: Sequence[Iterable[str]]) -> ReferenceSet:
-    """Zip one or more aligned reference streams into a multi-reference set.
-
-    An error starts with the stream's ``name`` (an open file's path), or
-    with ``reference I`` for the stream at 0-based position I that has none.
-    """
-    if not streams:
+def load_references(paths: Sequence[str | Path]) -> Tuple[Tuple[str, ...], ...]:
+    """The references of each sentence, one per line-aligned file of ``paths``."""
+    if not paths:
         raise ValueError("at least one reference stream required")
-    columns = []
-    for i, stream in enumerate(streams):
-        with naming(getattr(stream, "name", f"reference {i}")):
-            columns.append([line for _, (line,) in read_fields(stream, name="reference")])
+    columns = [load_lines(p, "reference") for p in paths]
     if len({len(c) for c in columns}) > 1:
-        names = [f"reference {getattr(s, 'name', i)!r}" for i, s in enumerate(streams)]
-        counts = ", ".join(f"{name}: {len(c)}" for name, c in zip(names, columns))
-        raise FormatError(
-            "line count mismatch " + " vs ".join(str(len(c)) for c in columns) + f" ({counts})"
-        )
-    return ReferenceSet(tuple(zip(*columns)))
-
-
-def load_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
-    """A multi-reference set from one line-aligned file per reference."""
-    with ExitStack() as stack:
-        return load_references([stack.enter_context(open(p, encoding="utf-8")) for p in paths])
+        lengths = " vs ".join(str(len(c)) for c in columns)
+        counts = ", ".join(f"reference {str(p)!r}: {len(c)}" for p, c in zip(paths, columns))
+        raise FormatError(f"line count mismatch {lengths} ({counts})")
+    return tuple(zip(*columns))
 
 
 def load_sources(stream: Iterable[str]) -> Tuple[str, ...]:

@@ -13,9 +13,9 @@ Each picks one target string per source sentence from an n-best list:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .corpus import NBestCorpus, ReferenceSet
+from .corpus import NBestCorpus
 from .features import FeatureMatrix
 from .mira import WeightVector
 from .rerank import oracle_select, rerank
@@ -26,7 +26,7 @@ def kd_top1(corpus: NBestCorpus) -> Tuple[str, ...]:
     return tuple(texts[0] for texts in corpus.texts)
 
 
-def ki_select(corpus: NBestCorpus, original_refs: ReferenceSet) -> Tuple[str, ...]:
+def ki_select(corpus: NBestCorpus, original_refs: Sequence[Sequence[str]]) -> Tuple[str, ...]:
     """Per sentence, the list member with the highest BLEU against the
     original labels (the greedy oracle); ties resolve to the lowest rank."""
     return oracle_select(corpus, original_refs).selected_texts

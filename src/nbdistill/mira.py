@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .corpus import FormatError, NBestCorpus, ReferenceSet, _parse_float, known, read_fields, typed
+from .corpus import FormatError, NBestCorpus, _parse_float, known, read_fields, typed
 from .features import FeatureMatrix
 from .metrics import hyp_stats
 
@@ -168,7 +168,7 @@ def _update_on_sentence(
 def tune_mira(
     matrix: FeatureMatrix,
     corpus: NBestCorpus,
-    refs: ReferenceSet,
+    refs: Sequence[Sequence[str]],
     config: MiraConfig = MiraConfig(),
 ) -> TuneRun:
     """Learn reranking weights that maximize tune-set corpus BLEU."""
@@ -180,7 +180,7 @@ def tune_mira(
 
     # sentence BLEU of every hypothesis against the tune references, and the
     # statistics that make corpus BLEU of any selection a gather and a sum
-    table = hyp_stats(corpus.texts, refs.refs)
+    table = hyp_stats(corpus.texts, refs)
     gains = [table.gains[sid, : len(rows)] for sid, rows in enumerate(matrix.values)]
 
     def bleu_of_weights(weights: np.ndarray) -> float:

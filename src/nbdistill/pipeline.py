@@ -36,7 +36,6 @@ import json
 import math
 import re
 import shlex
-import shutil
 import subprocess
 import sys
 import time
@@ -54,7 +53,7 @@ from .corpus import (
     load_file,
     load_lines,
     load_nbest,
-    load_reference_files,
+    load_references,
     load_scores,
     load_sources,
     open_out,
@@ -353,7 +352,7 @@ METRICS = {
 STRATEGIES = {
     "kd": ((), lambda nbest, args: kd_top1(load_file(nbest, load_nbest))),
     "ki": (("refs",), lambda nbest, args: ki_select(
-        load_file(nbest, load_nbest), load_reference_files(args["refs"]))),
+        load_file(nbest, load_nbest), load_references(args["refs"]))),
     "rerank": (("matrix", "weights"), lambda nbest, args: rerank_labels(
         *_rerank_inputs(args["matrix"], nbest, args["weights"], args["models"]))),
 }
@@ -362,7 +361,7 @@ STRATEGIES = {
 def evaluate_file(hyp: str | Path, refs: Sequence[str | Path], metric: str = "bleu") -> str:
     """The corpus ``METRICS`` score of ``hyp`` against ``refs`` and its ``#signature`` line."""
     label, score, signature = METRICS[known(metric, METRICS, "metric")]
-    hyps, loaded = load_lines(hyp), load_reference_files(refs).refs
+    hyps, loaded = load_lines(hyp), load_references(refs)
     if len(loaded) != len(hyps):
         raise ValueError(f"line count mismatch {len(hyps)} vs {len(loaded)} (hypothesis file "
                          f"{str(hyp)!r}: {len(hyps)}, references: {len(loaded)})")
@@ -388,7 +387,7 @@ def tune_file(
 ) -> TuneRun:
     """Tune MIRA weights on a matrix and its n-best file; write the best ones."""
     corpus = load_file(nbest, load_nbest)
-    run = tune_mira(load_file(matrix, load_matrix), corpus, load_reference_files(refs), config)
+    run = tune_mira(load_file(matrix, load_matrix), corpus, load_references(refs), config)
     weights, bleu = run.history[run.best_epoch]
     with open_out(out) as f:
         write_weights(weights, f, run.best_epoch, bleu)
@@ -412,7 +411,7 @@ def rerank_file(
     """Write the ``SID<TAB>RANK<TAB>TEXT`` selections of the reranker and
     return them with the mask applied; ``refs`` add the corpus BLEU."""
     inputs = _rerank_inputs(matrix, nbest, weights, models)
-    result = rerank(*inputs, refs=None if refs is None else load_reference_files(refs))
+    result = rerank(*inputs, refs=None if refs is None else load_references(refs))
     write_text(out, format_selections(result))
     return result, inputs[-1]
 
@@ -426,7 +425,7 @@ def oracle_file(
     Returns the selections' corpus BLEU (None for a sweep) and the number of
     lists shorter than a sweep size."""
     known(mode, ORACLE_MODES, "oracle mode")
-    corpus, loaded = load_file(nbest, load_nbest), load_reference_files(refs)
+    corpus, loaded = load_file(nbest, load_nbest), load_references(refs)
     if sweep is not None:
         rows, short_lists = beam_sweep(corpus, loaded, sweep)
         text, bleu = format_sweep(rows), None
@@ -640,7 +639,7 @@ def _finalize_labels(workdir: Path, best: IterationState, label_format: str) -> 
     prefix = Path(best.labels_path).with_suffix("")
     for src, dst in zip(label_paths(prefix, label_format),
                         label_paths(workdir / "final.labels", label_format)):
-        shutil.copyfile(src, dst)
+        write_text(dst, Path(src).read_text(encoding="utf-8"))
     return dst
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import NBestCorpus, ReferenceSet, known
+from .corpus import NBestCorpus, known
 from .features import FeatureMatrix
 from .metrics import HypStats, corpus_bleu, corpus_stats, hyp_stats
 from .mira import WeightVector
@@ -75,7 +75,7 @@ def rerank(
     corpus: NBestCorpus,
     weights: WeightVector,
     mask: Optional[frozenset] = None,
-    refs: Optional[ReferenceSet] = None,
+    refs: Optional[Sequence[Sequence[str]]] = None,
 ) -> RerankResult:
     """Select the argmax hypothesis per sentence under (optionally masked) weights."""
     if weights.feature_names != matrix.feature_names:
@@ -83,7 +83,7 @@ def rerank(
     matrix.validate_against(corpus)
     selections = matrix.best_rows(_masked_weights(weights, mask))
     texts = _texts(corpus, selections)
-    score = None if refs is None else corpus_bleu(corpus_stats(texts, refs.refs))
+    score = None if refs is None else corpus_bleu(corpus_stats(texts, refs))
     return RerankResult(selections, texts, score)
 
 
@@ -105,19 +105,19 @@ def _extremes(table: HypStats, n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def oracle_select(
     corpus: NBestCorpus,
-    refs: ReferenceSet,
+    refs: Sequence[Sequence[str]],
     mode: str = "oracle",
 ) -> RerankResult:
     """Greedy per-sentence best (oracle) or worst (anti-oracle) selection."""
     known(mode, ORACLE_MODES, "oracle mode")
-    table = hyp_stats(corpus.texts, refs.refs)
+    table = hyp_stats(corpus.texts, refs)
     best, worst = _extremes(table, corpus.n_max)
     selections = tuple((best if mode == "oracle" else worst).tolist())
     return RerankResult(selections, _texts(corpus, selections), table.bleu(selections))
 
 
 def beam_sweep(
-    corpus: NBestCorpus, refs: ReferenceSet, sizes: Sequence[int]
+    corpus: NBestCorpus, refs: Sequence[Sequence[str]], sizes: Sequence[int]
 ) -> Tuple[List[SweepRow], int]:
     """Anti-oracle / top-1 / oracle corpus BLEU at each list truncation size.
 
@@ -134,7 +134,7 @@ def beam_sweep(
         raise ValueError(
             f"sweep size {max(sizes)} exceeds the longest list ({corpus.n_max})"
         )
-    table = hyp_stats(corpus.texts, refs.refs)
+    table = hyp_stats(corpus.texts, refs)
     lengths = table.valid.sum(axis=1)
     top1 = table.bleu(np.zeros(corpus.num_sentences, dtype=np.int64))
     rows = []

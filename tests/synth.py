@@ -183,17 +183,17 @@ def make_planted_instance(num_sentences=200, n=8, seed=42, noise_seed=7):
 
     Feature 0 ("signal") is each hypothesis's sentence BLEU against the
     references plus Gaussian noise (sigma 0.5); features 1-3 are pure noise.
-    Returns (corpus, ReferenceSet, FeatureMatrix, refs_as_lists, hyps).
+    Returns (corpus, refs_as_tuples, FeatureMatrix, refs_as_lists, hyps).
     """
     import random
 
-    from nbdistill.corpus import ReferenceSet, load_nbest, load_scores
+    from nbdistill.corpus import load_nbest, load_scores
     from nbdistill.features import assemble_matrix
     from nbdistill.metrics import sentence_bleu
 
     _, refs, hyps = make_corpus(num_sentences, n, seed=seed, max_edits=6)
     corpus = load_nbest(nbest_lines(hyps))
-    refset = ReferenceSet(tuple(tuple(r) for r in refs))
+    refset = tuple(tuple(r) for r in refs)
     rng = random.Random(noise_seed)
     gains = [
         [sentence_bleu(t, refs[sid]) for t in hyps[sid]]

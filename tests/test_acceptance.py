@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nbdistill.cli import main as cli_main
-from nbdistill.corpus import ReferenceSet, load_nbest
+from nbdistill.corpus import load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import (
     corpus_bleu,
@@ -148,16 +148,16 @@ def test_criterion_4_kd_ki_rerank_consistency():
         assert rerank_labels(matrix, corpus, one_hot) == kd_top1(corpus)
 
         # KI selections are exhaustively optimal per sentence
-        refset = ReferenceSet(tuple(tuple(r) for r in refs))
+        refset = tuple(tuple(r) for r in refs)
         ki = ki_select(corpus, refset)
         for sid, texts in enumerate(corpus.texts):
-            scores = [sentence_bleu(text, list(refset.refs[sid])) for text in texts]
-            assert sentence_bleu(ki[sid], list(refset.refs[sid])) == max(scores)
+            scores = [sentence_bleu(text, list(refset[sid])) for text in texts]
+            assert sentence_bleu(ki[sid], list(refset[sid])) == max(scores)
 
         # n=1 collapses all three strategies
         _, refs1, hyps1 = make_corpus(8, 1, seed=105)
         corpus1 = load_nbest(nbest_lines(hyps1))
-        refset1 = ReferenceSet(tuple(tuple(r) for r in refs1))
+        refset1 = tuple(tuple(r) for r in refs1)
         matrix1 = assemble_matrix(corpus1, passthrough=["total"], native=["len"])
         weights1 = WeightVector(matrix1.feature_names, (0.3, -0.7))
         kd = kd_top1(corpus1)
@@ -204,7 +204,7 @@ def test_criterion_6_oracle_sweep_properties():
     try:
         _, refs, hyps = make_corpus(25, 8, seed=106)
         corpus = load_nbest(nbest_lines(hyps))
-        refset = ReferenceSet(tuple(tuple(r) for r in refs))
+        refset = tuple(tuple(r) for r in refs)
         sizes = [1, 2, 4, 8]
         rows, short_lists = beam_sweep(corpus, refset, sizes)
         assert short_lists == 0

@@ -285,6 +285,13 @@ class TestOracleCli:
         )
         assert code == 0
 
+    def test_sweep_past_a_short_list_warns(self, tmp_path, capsys):
+        write_lines(tmp_path / "nbest.txt", nbest_lines([["a b", "a c"], ["d e"]]))
+        write_lines(tmp_path / "ref.txt", ["a b", "d e"])
+        code, out, err = run(capsys, "oracle", "--nbest", tmp_path / "nbest.txt",
+                             "--refs", tmp_path / "ref.txt", "--sweep", "1,2")
+        assert (code, len(out.splitlines())) == (0, 2)
+        assert err.endswith("\nwarning: 1 truncated list(s)\n")
 
     @pytest.mark.parametrize("sweep, message", [
         ("", "no sweep sizes given"),
@@ -490,6 +497,11 @@ class TestErrorsNameTheFile:
             ("oracle --nbest nbest.txt --refs ref.txt",
              "nbest.txt", "0 ||| a |||  ||| 0.0\n0 ||| b |||  ||| x\n",
              "line 2: unparseable total: 'x'"),
+            ("oracle --nbest nbest.txt --refs ref.txt",
+             "nbest.txt", "0 ||| a ||| lm= 1 x ||| 0.0\n",
+             "line 1: score field must be 'NAME= VALUE' pairs"),
+            ("tune --matrix matrix.tsv --nbest nbest.txt --refs ref.txt --out w.tsv",
+             "matrix.tsv", "", "empty matrix file"),
             ("distill --strategy kd --nbest nbest.txt --src src.txt --out labels",
              "src.txt", "a\n\nc\nd\n", "line 2: empty line in source stream"),
             ("distill --strategy rerank --matrix matrix.tsv --nbest nbest.txt "
@@ -497,7 +509,8 @@ class TestErrorsNameTheFile:
              "nbest.txt", "0 ||| a |||  ||| 0.0\n0 ||| b |||  ||| x\n",
              "line 2: unparseable total: 'x'"),
         ],
-        ids=["assemble", "tune", "rerank", "no-weights", "oracle", "distill-kd", "distill-rerank"],
+        ids=["assemble", "tune", "rerank", "no-weights", "oracle", "score-pairs", "empty-matrix",
+             "distill-kd", "distill-rerank"],
     )
     def test_error_names_its_file(self, files, capsys, argv, bad_file, text, message):
         (files / bad_file).write_text(text, encoding="utf-8")

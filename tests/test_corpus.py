@@ -1,15 +1,17 @@
+import ast
 import io
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import nbdistill
 from nbdistill.corpus import (
     FormatError,
     NBestCorpus,
     load_file,
     load_nbest,
-    load_reference_files,
     load_references,
     load_scores,
     load_sources,
@@ -241,12 +243,22 @@ class TestLoadScores:
         assert load_scores(lines) == load_scores(sorted(lines))
 
 
+def _reference_files(tmp_path, *texts):
+    """One reference file ``r0``, ``r1``, ... of each text."""
+    paths = [tmp_path / f"r{i}" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8")
+    return paths
+
+
 class TestParallel:
-    def test_empty_line_rejected(self):
+    def test_empty_line_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="line 2: empty line in source stream"):
             load_sources(["a", "   "])
-        with pytest.raises(FormatError, match="^reference 1: line 1: empty line in reference stream$"):
-            load_references([["x", "y"], ["", "y"]])
+        paths = _reference_files(tmp_path, "x\ny\n", "\ny\n")
+        with pytest.raises(FormatError) as err:
+            load_references(paths)
+        assert str(err.value) == f"{paths[1]}: line 1: empty line in reference stream"
 
     def test_reference_file_error_names_its_path(self, tmp_path):
         (tmp_path / "r1").write_text("a\nb\n", encoding="utf-8")
@@ -254,23 +266,23 @@ class TestParallel:
         paths = [tmp_path / "r1", tmp_path / "r0"]
         want = f"{paths[1]}: line 2: empty line in reference stream"
         with pytest.raises(FormatError) as err:
-            load_reference_files(paths)
+            load_references(paths)
         assert (str(err.value), err.value.line) == (want, 2)
 
-    def test_multi_reference_zip(self):
-        refs = load_references([["r0a", "r1a"], ["r0b", "r1b"]])
-        assert refs.refs == (("r0a", "r0b"), ("r1a", "r1b"))
+    def test_multi_reference_zip(self, tmp_path):
+        refs = load_references(_reference_files(tmp_path, "r0a\nr1a\n", "r0b\nr1b\n"))
+        assert refs == (("r0a", "r0b"), ("r1a", "r1b"))
 
-    def test_multi_reference_mismatch(self):
+    def test_multi_reference_mismatch(self, tmp_path):
         with pytest.raises(FormatError, match="line count mismatch 2 vs 1"):
-            load_references([["a", "b"], ["x"]])
+            load_references(_reference_files(tmp_path, "a\nb\n", "x\n"))
 
     def test_reference_files_mismatch_names_each_file(self, tmp_path):
         (tmp_path / "r0").write_text("a\nb\n", encoding="utf-8")
         (tmp_path / "r1").write_text("x\n", encoding="utf-8")
         paths = [tmp_path / "r0", tmp_path / "r1"]
         with pytest.raises(FormatError) as err:
-            load_reference_files(paths)
+            load_references(paths)
         assert str(err.value) == (
             f"line count mismatch 2 vs 1 (reference {str(paths[0])!r}: 2, "
             f"reference {str(paths[1])!r}: 1)"
@@ -344,3 +356,28 @@ class TestOpenOut:
         write_text(tmp_path / "link", "new\n")
         assert (tmp_path / "link").is_symlink()
         assert target.read_text() == "new\n"
+
+
+def _open_calls(node, owner):
+    """The innermost enclosing function of each call of ``open`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and "open" in (getattr(child.func, "id", None),
+                                                      getattr(child.func, "attr", None)):
+            yield owner
+        yield from _open_calls(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+
+def test_files_are_opened_only_by_load_file_and_open_out():
+    """One reader and one writer: no module of the package opens a file in
+    another function, or imports ``shutil``, whose copies bypass ``open_out``."""
+    owners, imports = set(), set()
+    for path in Path(nbdistill.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners.update(f"{path.stem}.{owner}" for owner in _open_calls(tree, "<module>"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imports.add(node.module)
+    assert owners == {"corpus.load_file", "corpus.open_out"}
+    assert "shutil" not in imports

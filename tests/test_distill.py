@@ -1,6 +1,6 @@
 import pytest
 
-from nbdistill.corpus import ReferenceSet, load_nbest
+from nbdistill.corpus import load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, corpus_stats, sentence_bleu
 from nbdistill.mira import MiraConfig, WeightVector, tune_mira
@@ -12,7 +12,7 @@ from synth import make_corpus, nbest_lines
 def build(num_sentences, n, seed=0):
     sources, refs, hyps = make_corpus(num_sentences, n, seed=seed)
     corpus = load_nbest(nbest_lines(hyps))
-    refset = ReferenceSet(tuple(tuple(r) for r in refs))
+    refset = tuple(tuple(r) for r in refs)
     return tuple(sources), corpus, refset, refs, hyps
 
 
@@ -44,7 +44,7 @@ class TestKiSelect:
         corpus = load_nbest(
             ["0 ||| close guess |||  ||| 2.0", "0 ||| original label |||  ||| 1.0"]
         )
-        refs = ReferenceSet((("original label",),))
+        refs = (("original label",),)
         assert ki_select(corpus, refs) == ("original label",)
 
     def test_n1_equals_kd(self):
@@ -55,14 +55,14 @@ class TestKiSelect:
         _, corpus, refset, _, _ = build(8, 4, seed=4)
         chosen = ki_select(corpus, refset)
         for sid, texts in enumerate(corpus.texts):
-            refs = list(refset.refs[sid])
+            refs = list(refset[sid])
             best = max(sentence_bleu(text, refs) for text in texts)
             assert sentence_bleu(chosen[sid], refs) == best
 
     def test_misaligned(self):
         _, corpus, refset, _, _ = build(3, 2, seed=5)
         with pytest.raises(ValueError):
-            ki_select(corpus, ReferenceSet(refset.refs[:-1]))
+            ki_select(corpus, refset[:-1])
 
 
 class TestRerankLabels:

@@ -19,7 +19,7 @@ from nbdistill.corpus import (
     FormatError,
     load_file,
     load_nbest,
-    load_reference_files,
+    load_references,
     load_scores,
     load_sources,
 )
@@ -70,7 +70,7 @@ LOADERS = {
     "matrix": lambda path: load_file(path, load_matrix),
     "weights": lambda path: load_file(path, load_weights),
     # the second file is a valid copy, so a changed line count is a mismatch
-    "references": lambda path: load_reference_files([path, path.with_name("ref1")]),
+    "references": lambda path: load_references([path, path.with_name("ref1")]),
     "sources": lambda path: load_file(path, load_sources),
     "ledger": read_ledger,
     "config.ini": PipelineConfig.from_file,

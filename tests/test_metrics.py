@@ -248,6 +248,10 @@ class TestHypStats:
         with pytest.raises(ValueError):
             hyp_stats([["a"], ["b"]], [["a"]])
 
+    def test_every_sentence_needs_a_reference(self):
+        with pytest.raises(ValueError, match="^at least one reference required$"):
+            hyp_stats([["a"]], [()])
+
     def test_corpus_stats_scores_no_sentence(self, monkeypatch):
         calls = []
 

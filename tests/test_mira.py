@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nbdistill.corpus import FormatError, ReferenceSet, load_nbest
+from nbdistill.corpus import FormatError, load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, corpus_stats
 import nbdistill.mira as mira
@@ -25,7 +25,7 @@ from synth import make_corpus, make_planted_instance, nbest_lines
 def build(num_sentences, n, seed=0, num_refs=1):
     _, refs, hyps = make_corpus(num_sentences, n, seed=seed, num_refs=num_refs)
     corpus = load_nbest(nbest_lines(hyps))
-    refset = ReferenceSet(tuple(tuple(r) for r in refs))
+    refset = tuple(tuple(r) for r in refs)
     matrix = assemble_matrix(corpus, passthrough=["total", "lm"], native=["mbr_bleu"])
     return corpus, refset, matrix, refs, hyps
 
@@ -186,7 +186,7 @@ class TestTune:
 
     def test_misaligned_refs_rejected(self):
         corpus, refset, matrix, _, _ = build(4, 2)
-        bad = ReferenceSet(refset.refs[:-1])
+        bad = refset[:-1]
         with pytest.raises(ValueError, match="cover"):
             tune_mira(matrix, corpus, bad)
 
@@ -261,7 +261,7 @@ class TestEvaluateWeights:
                 "1 ||| g h ||| f= 1.0 ||| 0.0",
             ]
         )
-        refset = ReferenceSet((("c d",), ("e f",)))
+        refset = (("c d",), ("e f",))
         matrix = assemble_matrix(corpus, passthrough=["f"])
         weights = WeightVector(("f",), (1.0,))
         assert rerank(matrix, corpus, weights, refs=refset).corpus_score == 100.0

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 import nbdistill.pipeline as pipeline
 from nbdistill.cli import main as cli_main
 from nbdistill.metrics import corpus_bleu, corpus_stats
-from nbdistill.corpus import LABEL_SUFFIXES, FormatError, ReferenceSet, label_paths, load_nbest
+from nbdistill.corpus import LABEL_SUFFIXES, FormatError, label_paths, load_nbest
 from nbdistill.features import NATIVE_FEATURES, assemble_matrix, mbr_utility
 from nbdistill.mira import INIT_MODES, MiraConfig
 from nbdistill.pipeline import (
@@ -129,14 +130,18 @@ class TestConfig:
             PipelineConfig.from_file(ini)
         assert (str(err.value), err.value.line) == (f"{ini}: line {lineno}: {message}", lineno)
 
-    def test_unknown_json_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("document, message", [
+        ({"pipeline": {"workdir": "w"}, "data": {"dev_ref": "x"}},
+         "unknown config key 'data.dev_ref'"),
+        ({"pipeline": 5}, "config section 'pipeline' must be a mapping"),
+    ], ids=["unknown-key", "section-no-mapping"])
+    def test_unknown_json_key_rejected(self, tmp_path, document, message):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"pipeline": {"workdir": "w"}, "data": {"dev_ref": "x"}}))
+        path.write_text(json.dumps(document))
         with pytest.raises(FormatError) as err:
             PipelineConfig.from_file(path)
         # the JSON decoder gives keys no position
-        assert (str(err.value), err.value.line) == (
-            f"{path}: unknown config key 'data.dev_ref'", None)
+        assert (str(err.value), err.value.line) == (f"{path}: {message}", None)
 
     @pytest.mark.parametrize(
         "text, key",
@@ -631,14 +636,19 @@ class TestRunIteration:
 
 
 @pytest.mark.parametrize("field, value, kind", [
-    *((field, value, "an integer") for field in ("iterations_max", "top_k_models")
+    *((field, value, "be an integer") for field in ("iterations_max", "top_k_models")
       for value in (1.5, True)),
-    ("min_delta", True, "a number"),
+    ("min_delta", True, "be a number"),
+    # a string is no tuple of its characters, and a hook command is a string
+    ("tune_refs", "tune.ref", "be a tuple of paths"),
+    ("native", "len", "be a tuple of strings"),
+    ("workdir", 5, "be a path"),
+    ("hooks", {"generate_nbest": 5}, "map names to strings"),
 ])
 def test_counts_must_be_integers(field, value, kind):
     with pytest.raises(ValueError) as err:
         _config(**{field: value}).validate()
-    assert str(err.value) == f"{field} must be {kind}, got {value}"
+    assert str(err.value) == f"{field} must {kind}, got {value!r}"
 
 
 class TestCliMatchesStages:
@@ -759,7 +769,7 @@ LOOKUPS = {
     "oracle_file": ("oracle mode", "oracle, anti_oracle",
                     lambda name: oracle_file("n.txt", ["r.txt"], "o.tsv", mode=name)),
     "oracle_select": ("oracle mode", "oracle, anti_oracle",
-                      lambda name: oracle_select(_one_list(), ReferenceSet((("a",),)), name)),
+                      lambda name: oracle_select(_one_list(), (("a",),), name)),
     "MiraConfig": ("init mode", "zeros, uniform", lambda name: MiraConfig(init=name)),
     "mbr_utility": ("MBR utility", "sentence_bleu, sentence_chrf",
                     lambda name: mbr_utility(["a b"], name)),
@@ -929,6 +939,20 @@ class TestSelfTrain:
             a = crash_work / f"iter{it}" / "weights.tsv"
             b = Path(clean_config.workdir) / f"iter{it}" / "weights.tsv"
             assert a.read_bytes() == b.read_bytes()
+
+    def test_a_failed_final_write_keeps_the_previous_labels(self, tmp_path, monkeypatch):
+        config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path, iterations=1))
+        run_selftrain(config)
+        final = Path(config.workdir) / "final.labels.tsv"
+        final.write_bytes(b"old\tlabels\n")
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            run_selftrain(config)
+        assert final.read_bytes() == b"old\tlabels\n"
 
     def test_parallel_label_format(self, tmp_path):
         ini = build_pipeline_fixtures(tmp_path, iterations=2)

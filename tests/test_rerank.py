@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from nbdistill.corpus import ReferenceSet, load_nbest
+from nbdistill.corpus import load_nbest
 from nbdistill.features import assemble_matrix
 from nbdistill.metrics import corpus_bleu, sentence_bleu
 from nbdistill.mira import WeightVector
@@ -22,7 +22,7 @@ from synth import make_corpus, nbest_lines
 def build(num_sentences, n, seed=0, num_refs=1):
     _, refs, hyps = make_corpus(num_sentences, n, seed=seed, num_refs=num_refs)
     corpus = load_nbest(nbest_lines(hyps))
-    refset = ReferenceSet(tuple(tuple(r) for r in refs))
+    refset = tuple(tuple(r) for r in refs)
     matrix = assemble_matrix(corpus, passthrough=["total", "lm", "tm"], native=["len"])
     return corpus, refset, matrix
 
@@ -82,7 +82,7 @@ class TestRerank:
         corpus, refset, matrix = build(8, 4, seed=4)
         weights = WeightVector(matrix.feature_names, (0.3, 1.0, -0.2, 0.05))
         result = rerank(matrix, corpus, weights, refs=refset)
-        stats, _ = reference_hyp_stats(corpus.texts, refset.refs)
+        stats, _ = reference_hyp_stats(corpus.texts, refset)
         total = reference_total(stats[sid][pick] for sid, pick in enumerate(result.selections))
         assert result.corpus_score == corpus_bleu(total)
 
@@ -178,7 +178,7 @@ class TestOracle:
                 "0 ||| the exact reference |||  ||| 1.0",
             ]
         )
-        refset = ReferenceSet((("the exact reference",),))
+        refset = (("the exact reference",),)
         result = oracle_select(corpus, refset, "oracle")
         assert result.selections == (1,)
         assert result.corpus_score == 100.0
@@ -188,7 +188,7 @@ class TestOracle:
         oracle = oracle_select(corpus, refset, "oracle")
         anti = oracle_select(corpus, refset, "anti_oracle")
         for sid, texts in enumerate(corpus.texts):
-            scores = [sentence_bleu(text, list(refset.refs[sid])) for text in texts]
+            scores = [sentence_bleu(text, list(refset[sid])) for text in texts]
             assert scores[oracle.selections[sid]] == max(scores)
             assert scores[anti.selections[sid]] == min(scores)
 
@@ -236,7 +236,7 @@ class TestBeamSweep:
             "1 ||| d e |||  ||| 2.0",
         ]
         corpus = load_nbest(lines)
-        refset = ReferenceSet((("a b",), ("d e",)))
+        refset = (("a b",), ("d e",))
         rows, short_lists = beam_sweep(corpus, refset, [2])
         assert short_lists == 1
 
@@ -244,7 +244,7 @@ class TestBeamSweep:
         _, refs, hyps = make_corpus(12, 8, seed=16, num_refs=2, max_edits=1)
         hyps = [h[: 1 + sid % 8] for sid, h in enumerate(hyps)]  # lengths 1..8
         corpus = load_nbest(nbest_lines(hyps))
-        refset = ReferenceSet(tuple(tuple(r) for r in refs))
+        refset = tuple(tuple(r) for r in refs)
         stats, gains = reference_hyp_stats(hyps, refs)
 
         def corpus_score(picks):
