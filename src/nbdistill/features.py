@@ -33,7 +33,6 @@ from .corpus import FormatError, NBestCorpus, _sentence_list, known, read_fields
 from .metrics import (
     CHRF_CHAR_ORDER,
     NGRAM_ORDER,
-    NGramStats,
     _chrf_from_stats,
     _collapse,
     _overlaps,
@@ -78,7 +77,7 @@ def _bleu_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
     toks = tokenize_many(texts)
     overlaps = _overlaps(toks, NGRAM_ORDER)
     return lambda i, j: corpus_bleu(
-        NGramStats(tuple(overlaps[i][j]), tuple(overlaps[i][i]), len(toks[i]), len(toks[j])))
+        (*overlaps[i][j], *overlaps[i][i], len(toks[i]), len(toks[j])))
 
 
 def _chrf_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
@@ -96,7 +95,8 @@ def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[fl
     Equal, bit for bit, to averaging ``sentence_bleu``/``sentence_chrf`` of
     each hypothesis against every other list member in ascending order: the
     symmetric n-gram overlaps are counted once per list, and the float score
-    of every ordered pair is still computed from its own statistics.
+    of every ordered pair is still computed from its own statistics.  They are
+    added left to right: ``sum`` of floats compensates from Python 3.12 on.
     """
     if not texts:
         raise ValueError("empty hypothesis list")
@@ -104,9 +104,14 @@ def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[fl
     pair = _PAIR_SCORES[known(utility, _PAIR_SCORES, "MBR utility")](texts)
     if n == 1:
         return [pair(0, 0)]
-    return [
-        sum(pair(i, j) for j in range(n) if j != i) / (n - 1) for i in range(n)
-    ]
+    utilities = []
+    for i in range(n):
+        total = 0.0
+        for j in range(n):
+            if j != i:
+                total += pair(i, j)
+        utilities.append(total / (n - 1))
+    return utilities
 
 
 def length_features(texts: Sequence[str]) -> Tuple[List[float], List[float]]:
@@ -114,11 +119,11 @@ def length_features(texts: Sequence[str]) -> Tuple[List[float], List[float]]:
     if not texts:
         raise ValueError("empty hypothesis list")
     distinct = list(dict.fromkeys(texts))
-    lengths = {t: float(len(toks)) for t, toks in zip(distinct, tokenize_many(distinct))}
+    lengths = {t: len(toks) for t, toks in zip(distinct, tokenize_many(distinct))}
     counts = [lengths[t] for t in texts]
-    mean = sum(counts) / len(counts)
+    mean = sum(counts) / len(counts)  # an integer sum: exact in any order
     ratios = [c / mean if mean > 0 else 1.0 for c in counts]
-    return counts, ratios
+    return [float(c) for c in counts], ratios
 
 
 def passthrough_features(

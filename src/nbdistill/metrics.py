@@ -18,6 +18,11 @@ an integer sum over that table; ``corpus_stats`` is the sum over the table of a
 one-best stream.  ``tokenize_many`` runs each 13a rule once over a whole group
 of texts, and ``tokenize_13a`` is its one-text case.
 
+BLEU statistics have one form, a row of 10 integers: clipped matches of
+orders 1-4, n-gram counts of orders 1-4, hyp_len, ref_len.  ``corpus_bleu``
+takes such a row, ``sentence_stats`` and ``corpus_stats`` return one as a
+tuple of ints, and ``HypStats.stats`` holds one per hypothesis.
+
 Only ``_ngram_ids`` gives n-grams ids, for token and character sequences
 alike.  BLEU clipping (``_block_stats``, behind ``hyp_stats`` and
 ``sentence_stats``) sorts them; ``_overlaps`` counts them per order, and chrF
@@ -88,16 +93,6 @@ def tokenize_many(texts: Iterable[str]) -> List[List[str]]:
 def tokenize_13a(text: str) -> List[str]:
     """Tokenize one segment with the 13a rule set; empty input gives []."""
     return tokenize_many([text])[0]
-
-
-@dataclass(frozen=True)
-class NGramStats:
-    """Sufficient statistics for corpus BLEU; additive across sentences."""
-
-    clipped_matches: Tuple[int, int, int, int]
-    hyp_ngrams: Tuple[int, int, int, int]
-    hyp_len: int
-    ref_len: int
 
 
 def _ngram_ids(texts: Sequence[Sequence], orders: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
@@ -205,32 +200,27 @@ def _block_stats(
     return out
 
 
-def _as_stats(row: Sequence[int]) -> NGramStats:
-    return NGramStats(tuple(row[0:4]), tuple(row[4:8]), row[8], row[9])
-
-
 def sentence_stats(
     hyp_tokens: Sequence[str], refs_tokens: Sequence[Sequence[str]]
-) -> NGramStats:
-    """N-gram statistics of one hypothesis against one or more references.
+) -> Tuple[int, ...]:
+    """The BLEU statistics row of one hypothesis against one or more references.
 
     Each hypothesis n-gram count is clipped by the maximum count of that
     n-gram across all references.  ref_len is the reference length closest
     to the hypothesis length; ties resolve to the shorter reference.
     """
-    return _as_stats(_block_stats([[hyp_tokens]], [refs_tokens])[0].tolist())
+    return tuple(_block_stats([[hyp_tokens]], [refs_tokens])[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class HypStats:
     """BLEU statistics of every hypothesis of an n-best corpus.
 
-    ``stats[s, t]`` holds the clipped matches (orders 1-4), the hypothesis
-    n-gram counts (orders 1-4), hyp_len and ref_len of hypothesis ``t`` of
-    sentence ``s``, exactly as ``sentence_stats`` gives them, and
-    ``gains[s, t]`` its smoothed sentence BLEU, computed on first use.  Lists
-    are padded to the longest one; ``valid`` is False on padding, which holds
-    zeros and scores 0.0.
+    ``stats[s, t]`` holds the statistics row of hypothesis ``t`` of sentence
+    ``s``, exactly as ``sentence_stats`` gives it, and ``gains[s, t]`` its
+    smoothed sentence BLEU, computed on first use.  Lists are padded to the
+    longest one; ``valid`` is False on padding, which holds zeros and scores
+    0.0.
     """
 
     stats: np.ndarray  # (S, N_max, 10) int64
@@ -240,14 +230,14 @@ class HypStats:
     def gains(self) -> np.ndarray:
         """(S, N_max) float64, scoring each distinct row of ``stats`` once."""
         rows = list(map(tuple, self.stats.reshape(-1, 10).tolist()))
-        score = {row: corpus_bleu(_as_stats(row)) for row in dict.fromkeys(rows)}
+        score = {row: corpus_bleu(row) for row in dict.fromkeys(rows)}
         return np.array([score[row] for row in rows], dtype=np.float64).reshape(self.valid.shape)
 
     def bleu(self, picks: Sequence[int]) -> float:
         """Corpus BLEU of the selection holding hypothesis ``picks[s]`` of
         each sentence ``s``; integer sums are exact in any order."""
         total = self.stats[np.arange(len(self.stats)), picks].sum(axis=0).tolist()
-        return corpus_bleu(_as_stats(total))
+        return corpus_bleu(total)
 
 
 def hyp_stats(
@@ -287,39 +277,38 @@ def hyp_stats(
 
 def corpus_stats(
     hyps: Iterable[str], refs_per_sentence: Iterable[Sequence[str]]
-) -> NGramStats:
-    """Statistics of a parallel hyp/refs stream: the column sum of its
+) -> Tuple[int, ...]:
+    """Statistics row of a parallel hyp/refs stream: the column sum of its
     ``hyp_stats`` table, one single-hypothesis list per sentence."""
     table = hyp_stats([[h] for h in hyps], list(refs_per_sentence))
-    return _as_stats(table.stats.sum(axis=(0, 1)).tolist())
+    return tuple(table.stats.sum(axis=(0, 1)).tolist())
 
 
-def corpus_bleu(stats: NGramStats) -> float:
-    """BLEU from sufficient statistics.
+def corpus_bleu(stats: Sequence[int]) -> float:
+    """BLEU from a statistics row.
 
-    Precisions are clipped_matches / hyp_ngrams per order; under exp smoothing
-    the j-th successive zero-match order gets 1 / (2^j * hyp_ngrams).  Orders
-    with hyp_ngrams == 0 are skipped.  All-zero statistics score 0.0 by
-    definition.
+    Precisions are clipped matches / n-gram counts per order; under exp
+    smoothing the j-th successive zero-match order gets 1 / (2^j * count).
+    Orders without hypothesis n-grams are skipped.  All-zero statistics score
+    0.0 by definition.
     """
-    if stats.hyp_len == 0:
+    clipped, totals, hyp_len, ref_len = stats[0:4], stats[4:8], stats[8], stats[9]
+    if hyp_len == 0:
         return 0.0
     log_sum = 0.0
     n_orders = 0
     zero_scale = 1
-    for o in range(NGRAM_ORDER):
-        total = stats.hyp_ngrams[o]
+    for total, correct in zip(totals, clipped):
         if total == 0:
             continue
         n_orders += 1
-        correct = stats.clipped_matches[o]
         if correct == 0:
             zero_scale *= 2
             p = 1.0 / (zero_scale * total)
         else:
             p = correct / total
         log_sum += math.log(p)
-    bp = min(1.0, math.exp(1.0 - stats.ref_len / stats.hyp_len))
+    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
     return 100.0 * bp * math.exp(log_sum / n_orders)
 
 

@@ -99,6 +99,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         typed(self)
+        if not isinstance(self.mira, MiraConfig):
+            raise ValueError(f"mira must be a MiraConfig, got {self.mira!r}")
         if self.iterations_max < 1:
             raise ValueError("iterations_max must be >= 1")
         if not self.min_delta >= 0:  # NaN too

@@ -3,8 +3,10 @@ reproduce bit for bit.
 
 Every ordered pair (i, j) scores hypothesis i against hypothesis j as its
 single reference with the ``Counter`` sentence metrics of ``reference_stats``;
-each hypothesis's utility is the plain Python sum over j != i in ascending
-order, divided by n - 1.  A single-member list scores against itself.
+each hypothesis's utility is the sum over j != i, added one by one in
+ascending order, divided by n - 1.  The builtin ``sum`` of floats is not used:
+from Python 3.12 on it compensates its rounding.  A single-member list scores
+against itself.
 """
 
 from nbdistill.metrics import corpus_bleu
@@ -34,6 +36,11 @@ def reference_mbr_utility(texts, utility="sentence_bleu"):
         raise ValueError(f"unknown MBR utility {utility!r}")
     if n == 1:
         return [pair(0, 0)]
-    return [
-        sum(pair(i, j) for j in range(n) if j != i) / (n - 1) for i in range(n)
-    ]
+    utilities = []
+    for i in range(n):
+        total = 0.0
+        for j in range(n):
+            if j != i:
+                total += pair(i, j)
+        utilities.append(total / (n - 1))
+    return utilities

@@ -6,7 +6,8 @@ and ``metrics.corpus_chrf`` must reproduce exactly.
 ``reference_tokenize_13a`` is a frozen copy of the 13a tokenizer with its
 original rule set, whose first class still contains the space.
 ``reference_sentence_stats`` rebuilds every reference's n-gram counts for each
-hypothesis, and ``reference_total`` sums such statistics field by field.
+hypothesis and returns the package's 10-integer statistics row, and
+``reference_total`` sums such rows column by column.
 ``reference_hyp_stats`` runs the loop the package used before the shared
 statistics table: tokenize the references, then tokenize and count every
 hypothesis of the list, duplicates included.  The chrF functions are a
@@ -17,7 +18,7 @@ order, which the shared n-gram count matrices replaced.
 import re
 from collections import Counter
 
-from nbdistill.metrics import NGramStats, _chrf_from_stats, corpus_bleu
+from nbdistill.metrics import _chrf_from_stats, corpus_bleu
 
 _FROZEN_13A_RULES = (
     (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), r" \1 "),
@@ -64,22 +65,16 @@ def reference_sentence_stats(hyp_tokens, refs_tokens):
         clipped[order - 1] = sum(
             min(count, max_ref[gram]) for gram, count in hyp_counts.items()
         )
-    return NGramStats(tuple(clipped), tuple(totals), hyp_len, ref_len)
+    return (*clipped, *totals, hyp_len, ref_len)
 
 
 def reference_total(stats):
-    """Field-wise sum of NGramStats: the statistics of a whole corpus."""
-    stats = list(stats)
-    return NGramStats(
-        tuple(sum(s.clipped_matches[o] for s in stats) for o in range(4)),
-        tuple(sum(s.hyp_ngrams[o] for s in stats) for o in range(4)),
-        sum(s.hyp_len for s in stats),
-        sum(s.ref_len for s in stats),
-    )
+    """Column sum of statistics rows: the statistics of a whole corpus."""
+    return tuple(map(sum, zip(*stats)))
 
 
 def reference_hyp_stats(lists, refs_per_sentence):
-    """Per sentence, the NGramStats and the sentence BLEU of every hypothesis."""
+    """Per sentence, the statistics row and the sentence BLEU of every hypothesis."""
     stats = []
     gains = []
     for texts, refs in zip(lists, refs_per_sentence):

@@ -1,9 +1,12 @@
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nbdistill
 from nbdistill.corpus import FormatError, load_nbest, load_scores
 from nbdistill.features import (
     FeatureMatrix,
@@ -74,6 +77,21 @@ class TestMbrUtility:
             assert repr(mbr_utility(texts, utility)) == repr(
                 reference_mbr_utility(texts, utility)
             )
+
+    def test_bytes_pinned_on_a_list_where_compensated_sums_differ(self):
+        # Python 3.12's builtin sum gives 0x1.22dbbbdb1b5c0p+5, 0x1.28112b64130d2p+5
+        # and 0x1.5013599c9f115p+5 for the first three BLEU utilities and
+        # 0x1.226614509dce5p+6 for the third chrF one
+        texts = ["papa victor zulu quebec hotel", "papa victor mike zulu quebec hotel",
+                 "papa mike zulu quebec hotel", "papa hotel zulu quebec"]
+        assert [u.hex() for u in mbr_utility(texts, "sentence_bleu")] == [
+            "0x1.22dbbbdb1b5bfp+5", "0x1.28112b64130d3p+5",
+            "0x1.5013599c9f116p+5", "0x1.b680ace78bdacp+4",
+        ]
+        assert [u.hex() for u in mbr_utility(texts, "sentence_chrf")] == [
+            "0x1.2c6b6c77d2da7p+6", "0x1.487beb8e14a63p+6",
+            "0x1.226614509dce6p+6", "0x1.d555e344fe591p+5",
+        ]
 
     @given(st.permutations([0, 1, 2, 3]))
     def test_permutation_covariance(self, perm):
@@ -288,3 +306,47 @@ class TestMatrixIO:
         with pytest.raises(FormatError) as err:
             load_matrix(io.StringIO(text))
         assert str(err.value) == message
+
+
+# Every float reduction the package may make, with why it is allowed: the
+# builtin ``sum`` only where it adds integers, exact in any order, and the
+# matrix products whose order the BLAS kernel that OpenBLAS picks for the CPU
+# decides (an open exception, so that no new one arrives unseen).
+_REDUCTIONS = [
+    ("metrics._block_stats", "sum(map(len, lists)): the number of token lists"),
+    ("features.length_features", "sum(counts): 13a token counts"),
+    ("features.best_rows", "rows @ w: a gemv"),
+    ("mira._update_on_sentence", "rows @ lam: a gemv"),
+    ("mira._update_on_sentence", "diff @ diff: a ddot"),
+]
+
+
+def _reductions(node, owner):
+    """The innermost enclosing function of each call of the builtin ``sum`` or
+    of ``fsum``, and of each ``@``, under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and (
+                getattr(child.func, "id", None) in ("sum", "fsum")
+                or getattr(child.func, "attr", None) == "fsum"):
+            yield owner
+        elif isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+            yield owner
+        yield from _reductions(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+
+def test_every_float_reduction_is_in_a_fixed_order_or_listed():
+    """Float scores are added in an order the code fixes: the builtin ``sum``
+    compensates its rounding from Python 3.12 on, and ``math.fsum`` and
+    ``statistics`` round otherwise again, so the bytes would follow the
+    interpreter.  A ``@`` leaves its order to BLAS, so each one is listed."""
+    owners, imports = [], set()
+    for path in Path(nbdistill.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners.extend(f"{path.stem}.{owner}" for owner in _reductions(tree, "<module>"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imports.add(node.module)
+    assert sorted(owners) == sorted(site for site, _ in _REDUCTIONS)
+    assert "statistics" not in imports

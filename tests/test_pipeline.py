@@ -644,6 +644,7 @@ class TestRunIteration:
     ("native", "len", "be a tuple of strings"),
     ("workdir", 5, "be a path"),
     ("hooks", {"generate_nbest": 5}, "map names to strings"),
+    ("mira", 5, "be a MiraConfig"),
 ])
 def test_counts_must_be_integers(field, value, kind):
     with pytest.raises(ValueError) as err:
