@@ -231,10 +231,11 @@ def naming(path: str | Path) -> Iterator[None]:
         raise
 
 
-def load_file(path: str | Path, load: Callable, *args):
+def load_file(path: str | Path, load: Callable, *args, errors: str = "strict"):
     """``load(stream, *args)`` over the UTF-8 text of ``path``, ``naming`` it,
-    so that a command that reads several files says which one failed."""
-    with open(path, encoding="utf-8") as f, naming(path):
+    so that a command that reads several files says which one failed;
+    ``errors`` is how bytes that are not UTF-8 decode (``open``'s argument)."""
+    with open(path, encoding="utf-8", errors=errors) as f, naming(path):
         return load(f, *args)
 
 

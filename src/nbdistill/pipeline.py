@@ -12,10 +12,18 @@ the in-process stages in a fixed order:
 
 Hook command templates get ``{ITER}``, ``{IN}`` and ``{OUT}`` substituted
 (the two paths shell-quoted, so templates must not quote them again) and run
-with the iteration directory as working directory.  A hook fails its stage
-when it exits nonzero or leaves ``{OUT}`` unwritten.  Teacher
-retraining/finetuning lives entirely inside the ``generate_nbest`` hook; the
-orchestrator's contract is files in, files out.
+with the iteration directory as working directory.  A hook stage starts all
+of its calls at once, then waits for every one: ``generate_nbest`` makes one
+call per data set, ``scores`` one per external feature and data set.  Each
+call's stdout and stderr go to ``iterN/logs/<hook>.<set>.out`` and ``.err``.
+A call fails when it exits nonzero or leaves ``{OUT}`` unwritten; once all
+calls have ended, the stage raises the HookError of the first failed call
+(by feature in config order, then by set: tune, dev, transfer), and a re-run
+repeats the whole stage.  A template whose calls must not overlap takes a
+lock itself, e.g. ``flock train.lock train_once.sh --round {ITER} && ...``;
+the lock file lies in the iteration directory, so it is one per iteration.
+Teacher retraining/finetuning lives entirely inside the ``generate_nbest``
+hook; the orchestrator's contract is files in, files out.
 
 Every stage writes its outputs under ``workdir/iterN/``.  ``run_iteration``
 runs the stages from a table, dropping an empty ``.<stage>.done`` marker after
@@ -39,9 +47,11 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import (
     LABEL_SUFFIXES,
@@ -457,22 +467,52 @@ def distill_file(
     return write_pseudo_labels(load_file(src, load_sources), labels, out_prefix, fmt)
 
 
-def _run_hook(it: _Iteration, hook: str, set_name: str, in_path: Path, out_path: Path) -> None:
-    stage = f"{hook}[{set_name}]"
+def _run_hook(
+    it: _Iteration, hook: str, set_name: str, in_path: Path, out_path: Path
+) -> subprocess.Popen:
+    """Start one hook call, with its stdout and stderr going to its logs."""
     # one pass, so that a placeholder inside a substituted path stays as it is
     values = {"ITER": str(it.n), "IN": shlex.quote(str(in_path)), "OUT": shlex.quote(str(out_path))}
     cmd = re.sub(r"\{(ITER|IN|OUT)\}", lambda m: values[m[1]], it.config.hooks[hook])
-    proc = subprocess.run(
-        cmd, shell=True, cwd=str(it.dir), capture_output=True, text=True, errors="replace"
-    )
-    if proc.returncode != 0:
-        tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
-        message = f"stage {stage}: hook exited {proc.returncode}: {cmd}"
-        if tail:
-            message += "\n" + tail
-        raise HookError(message)
-    if not out_path.exists():
-        raise HookError(f"stage {stage}: hook exited 0 without writing {out_path}: {cmd}")
+    log = it.log(hook, set_name)
+    # the child writes the logs through its own descriptors, so they are
+    # closed (and in place) here, and no output passes through this process
+    with open_out(f"{log}.out") as out, open_out(f"{log}.err") as err:
+        return subprocess.Popen(cmd, shell=True, cwd=str(it.dir), stdout=out, stderr=err)
+
+
+def _run_hooks(it: _Iteration, calls: Sequence[Tuple[str, str, Path, Path]]) -> None:
+    """Start every ``(hook, set, IN, OUT)`` call of a stage, wait for all of
+    them, then raise the HookError of the first failed call in ``calls``."""
+    it.logs.mkdir(exist_ok=True)
+    with ExitStack() as running:  # waits for each started call, also if a start raises
+        procs = [running.enter_context(_run_hook(it, *call)) for call in calls]
+    for (hook, set_name, _, out_path), proc in zip(calls, procs):
+        stage = f"{hook}[{set_name}]"
+        if proc.returncode != 0:
+            tail = load_file(f"{it.log(hook, set_name)}.err", _last_lines, errors="replace")
+            message = f"stage {stage}: hook exited {proc.returncode}: {proc.args}"
+            raise HookError(message + "\n" + tail if tail else message)
+        if not out_path.exists():
+            raise HookError(f"stage {stage}: hook exited 0 without writing {out_path}: {proc.args}")
+
+
+def _last_lines(stream: Iterable[str], n: int = 5) -> str:
+    """``"\\n".join(text.strip().splitlines()[-n:])`` of the stream's text,
+    read a line at a time."""
+    kept: Deque[str] = deque(maxlen=n)
+    blank: Deque[str] = deque(maxlen=n)  # whitespace-only lines since the last kept one
+    for line in (part for chunk in stream for part in chunk.splitlines()):
+        if not line.strip():
+            if kept:
+                blank.append(line)
+            continue
+        kept.extend(blank)
+        blank.clear()
+        kept.append(line if kept else line.lstrip())
+    if kept:
+        kept[-1] = kept[-1].rstrip()
+    return "\n".join(kept)
 
 
 class _Iteration:
@@ -488,20 +528,24 @@ class _Iteration:
         self.labels = self.dir / "labels"  # the prefix of the label files
         self.selected = self.dir / "selected.txt"
         self.dev_bleu = self.dir / "dev_bleu.txt"
+        self.logs = self.dir / "logs"
 
     def scores(self, feature: str, set_name: str) -> Path:
         return self.dir / f"scores.{feature}.{set_name}.tsv"
 
+    def log(self, hook: str, set_name: str) -> Path:
+        """The path of a hook call's logs, without their ``.out``/``.err``."""
+        return self.logs / f"{hook}.{set_name}"
+
 
 def _generate_nbest(it: _Iteration) -> None:
-    for name in DATA_SETS:
-        _run_hook(it, "generate_nbest", name, getattr(it.config, f"{name}_src"), it.nbest[name])
+    _run_hooks(it, [("generate_nbest", name, getattr(it.config, f"{name}_src"), it.nbest[name])
+                    for name in DATA_SETS])
 
 
 def _scores(it: _Iteration) -> None:
-    for feature in it.config.external:
-        for name in DATA_SETS:
-            _run_hook(it, f"score_{feature}", name, it.nbest[name], it.scores(feature, name))
+    _run_hooks(it, [(f"score_{feature}", name, it.nbest[name], it.scores(feature, name))
+                    for feature in it.config.external for name in DATA_SETS])
 
 
 def _assemble(it: _Iteration) -> None:

@@ -4,6 +4,10 @@ import io
 import json
 import os
 import re
+import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -633,6 +637,145 @@ class TestRunIteration:
         again = run_iteration(config)
         assert again == first
         assert len(read_ledger(Path(config.workdir) / "ledger.jsonl")) == 1
+
+
+def _barrier(name, count):
+    """A template prefix: mark this call started, then wait up to 10 s until
+    ``count`` calls have marked themselves, and exit 1 if they never do."""
+    return (f"touch started.{name}.$(basename {{OUT}}); n=0; "
+            f"while [ $(ls started.{name}.* | wc -l) -lt {count} ]; do "
+            f"n=$((n + 1)); [ $n -le 1000 ] || exit 1; sleep 0.01; done; ")
+
+
+def _command(template, in_path, out_path):
+    """A template of iteration 1 as the hook runs it."""
+    values = {"{ITER}": "1", "{IN}": shlex.quote(str(in_path)), "{OUT}": shlex.quote(str(out_path))}
+    return re.sub(r"\{(ITER|IN|OUT)\}", lambda m: values[m[0]], template)
+
+
+@given(st.text(alphabet="ab \t\n\r\x0b\x0c\x1c\x85\u2028\ufffd", max_size=40))
+def test_last_lines_of_a_stream_equal_those_of_its_whole_text(text):
+    # the whole text as a failed hook's stderr was read: decoded, with \r\n and \r as \n
+    whole = text.replace("\r\n", "\n").replace("\r", "\n")
+    for n in (1, 2, 5):
+        assert pipeline._last_lines(io.StringIO(text, newline=None), n) == "\n".join(
+            whole.strip().splitlines()[-n:])
+
+
+class TestHookCalls:
+    """The calls of a hook stage run at the same time, each into its own logs."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        return PipelineConfig.from_file(build_pipeline_fixtures(tmp_path, iterations=1))
+
+    @staticmethod
+    def hooks(config, **templates):
+        return dataclasses.replace(config, hooks={**config.hooks, **templates})
+
+    def test_the_calls_of_a_stage_run_together(self, config):
+        # at most one call at a time, the first call waits 10 s and fails
+        lm = config.hooks["score_lm"]
+        config = dataclasses.replace(self.hooks(
+            config, generate_nbest=_barrier("nbest", 3) + config.hooks["generate_nbest"],
+            score_lm=_barrier("scores", 6) + lm, score_lm2=_barrier("scores", 6) + lm,
+        ), external=("lm", "lm2"))
+        state = run_iteration(config)
+        assert Path(state.labels_path).is_file()
+        started = sorted(p.name for p in (Path(config.workdir) / "iter1").glob("started.*"))
+        assert started == sorted(
+            [f"started.nbest.nbest.{name}.txt" for name in pipeline.DATA_SETS]
+            + [f"started.scores.scores.{f}.{name}.tsv" for f in ("lm", "lm2")
+               for name in pipeline.DATA_SETS])
+
+    def test_a_failed_call_waits_for_its_siblings(self, config):
+        copy = config.hooks["generate_nbest"]
+        template = ("case {IN} in */tune.src) echo first >&2; echo tune failed >&2; exit 2;; "
+                    f"esac; sleep 0.2; {copy}")
+        itdir = Path(config.workdir) / "iter1"
+        with pytest.raises(HookError) as err:
+            run_iteration(self.hooks(config, generate_nbest=template))
+        command = _command(template, config.tune_src, itdir / "nbest.tune.txt")
+        assert str(err.value) == (
+            f"stage generate_nbest[tune]: hook exited 2: {command}\nfirst\ntune failed")
+        assert (itdir / "nbest.dev.txt").is_file()
+        assert (itdir / "nbest.transfer.txt").is_file()
+        assert not (itdir / ".generate_nbest.done").exists()
+
+    def test_the_first_failure_in_call_order_is_reported(self, config):
+        # transfer fails first, dev 0.3 s later: the error names dev
+        template = ("case {IN} in */dev.src) sleep 0.3; exit 4;; */transfer.src) exit 5;; esac; "
+                    + config.hooks["generate_nbest"])
+        itdir = Path(config.workdir) / "iter1"
+        with pytest.raises(HookError) as err:
+            run_iteration(self.hooks(config, generate_nbest=template))
+        command = _command(template, config.dev_src, itdir / "nbest.dev.txt")
+        assert str(err.value) == f"stage generate_nbest[dev]: hook exited 4: {command}"
+
+    def test_a_start_that_raises_waits_for_the_started_calls(self, config, monkeypatch):
+        popen, started = subprocess.Popen, []
+
+        def start(*args, **kwargs):
+            if started:
+                raise OSError("no more processes")
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", start)
+        config = self.hooks(config, generate_nbest="sleep 0.3; " + config.hooks["generate_nbest"])
+        itdir = Path(config.workdir) / "iter1"
+        with pytest.raises(OSError, match="^no more processes$"):
+            run_iteration(config)
+        assert started[0].returncode == 0
+        assert (itdir / "nbest.tune.txt").is_file()
+        assert not (itdir / ".generate_nbest.done").exists()
+        # the logs of the call that never started are not left half made
+        assert sorted(p.name for p in (itdir / "logs").iterdir()) == [
+            "generate_nbest.tune.err", "generate_nbest.tune.out"]
+
+    def test_hook_output_goes_to_log_files_in_full(self, config):
+        hook = ("head -c 1048576 /dev/zero | tr '\\0' x; "
+                "for i in $(seq 12); do echo line $i >&2; done; exit 1")
+        with pytest.raises(HookError) as err:
+            run_iteration(self.hooks(config, score_lm=hook))
+        tail = "".join(f"\nline {i}" for i in range(8, 13))
+        assert str(err.value) == f"stage score_lm[tune]: hook exited 1: {hook}{tail}"
+        logs = Path(config.workdir) / "iter1" / "logs"
+        for name in pipeline.DATA_SETS:
+            assert (logs / f"score_lm.{name}.out").read_bytes() == b"x" * 1048576
+            assert (logs / f"score_lm.{name}.err").read_text() == "".join(
+                f"line {i}\n" for i in range(1, 13))
+        assert (logs / "generate_nbest.tune.out").read_bytes() == b""
+
+    def test_hook_output_does_not_pass_through_memory(self, tmp_path):
+        ini = build_pipeline_fixtures(tmp_path, iterations=1)
+        hook = "case {IN} in */tune.src) head -c 52428800 /dev/zero;; esac; exit 1"
+        ini.write_text(re.sub(r"(?m)^generate_nbest = .*$", f"generate_nbest = {hook}",
+                              ini.read_text()))
+        child = ("import resource, sys\n"
+                 "from nbdistill.pipeline import HookError, PipelineConfig, run_iteration\n"
+                 "config = PipelineConfig.from_file(sys.argv[1])\n"
+                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                 "try:\n    run_iteration(config)\nexcept HookError:\n    pass\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        done = subprocess.run([sys.executable, "-c", child, str(ini)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        grown_kb = int(done.stdout)  # Linux counts ru_maxrss in KiB
+        assert grown_kb < 8 * 1024
+        log = tmp_path / "work" / "iter1" / "logs" / "generate_nbest.tune.out"
+        assert log.stat().st_size == 52428800
+
+    @pytest.mark.skipif(shutil.which("flock") is None, reason="no flock command")
+    def test_a_template_with_flock_runs_its_calls_alone(self, config):
+        # each call holds the file busy for 0.2 s, and exits 1 if it is taken
+        hold = ("import os, time; os.close(os.open('busy', os.O_CREAT | os.O_EXCL | os.O_WRONLY)); "
+                "time.sleep(0.2); os.remove('busy')")
+        template = f"flock train.lock {sys.executable} -c {shlex.quote(hold)} && "
+        state = run_iteration(self.hooks(
+            config, generate_nbest=template + config.hooks["generate_nbest"]))
+        assert Path(state.labels_path).is_file()
+        assert (Path(config.workdir) / "iter1" / "train.lock").is_file()
 
 
 @pytest.mark.parametrize("field, value, kind", [
