@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 # OpenBLAS starts a worker pool when it loads, and no BLAS call here is large
@@ -133,13 +134,23 @@ def cmd_distill(args) -> int:
     return 0
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def cmd_selftrain(args) -> int:
     config = PipelineConfig.from_file(args.config)
     try:
         config.validate()
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    best, reason = run_selftrain(config)
+    # SIGTERM ends the run as an exception, so that the hook calls it started
+    # are ended too; in-process callers of main get their own handler back
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        best, reason = run_selftrain(config)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"stop_reason\t{reason}")
     print(f"best_iteration\t{best.iter}")
     print(f"dev_bleu\t{best.dev_bleu:.4f}")

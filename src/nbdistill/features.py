@@ -13,7 +13,8 @@ Native features:
   mean sentence BLEU / chrF of the hypothesis scored against every *other*
   member of the same n-best list (uniform weights, self-pair excluded; a
   single-member list scores against itself, i.e. 100).  Duplicates stay in
-  the list and legitimately concentrate consensus mass.
+  the list and legitimately concentrate consensus mass.  The pair scores
+  come from ``metrics.PAIR_SCORES``.
 * ``len`` -- 13a token count of the hypothesis.
 * ``len_ratio`` -- token count divided by the mean token count of the list.
 
@@ -25,20 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .corpus import FormatError, NBestCorpus, _sentence_list, known, read_fields
-from .metrics import (
-    CHRF_CHAR_ORDER,
-    NGRAM_ORDER,
-    _chrf_from_stats,
-    _collapse,
-    _overlaps,
-    corpus_bleu,
-    tokenize_many,
-)
+from .metrics import PAIR_SCORES, tokenize_many
 
 NATIVE_FEATURES = ("mbr_bleu", "mbr_chrf", "len", "len_ratio")
 MBR_UTILITIES = {"mbr_bleu": "sentence_bleu", "mbr_chrf": "sentence_chrf"}
@@ -73,35 +66,18 @@ class FeatureMatrix:
                 )
 
 
-def _bleu_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
-    toks = tokenize_many(texts)
-    overlaps = _overlaps(toks, NGRAM_ORDER)
-    return lambda i, j: corpus_bleu(
-        (*overlaps[i][j], *overlaps[i][i], len(toks[i]), len(toks[j])))
-
-
-def _chrf_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
-    overlaps = _overlaps([_collapse(t) for t in texts], CHRF_CHAR_ORDER)
-    return lambda i, j: _chrf_from_stats(list(zip(overlaps[i][i], overlaps[j][j], overlaps[i][j])))
-
-
-# Per MBR utility, from a list's texts, the score of hypothesis i against j.
-_PAIR_SCORES = {"sentence_bleu": _bleu_pairs, "sentence_chrf": _chrf_pairs}
-
-
 def mbr_utility(texts: Sequence[str], utility: str = "sentence_bleu") -> List[float]:
     """Consensus utility of each hypothesis against the rest of its list.
 
     Equal, bit for bit, to averaging ``sentence_bleu``/``sentence_chrf`` of
-    each hypothesis against every other list member in ascending order: the
-    symmetric n-gram overlaps are counted once per list, and the float score
-    of every ordered pair is still computed from its own statistics.  They are
-    added left to right: ``sum`` of floats compensates from Python 3.12 on.
+    each hypothesis against every other list member in ascending order, each
+    pair scored by ``metrics.PAIR_SCORES``.  The scores are added left to
+    right: ``sum`` of floats compensates from Python 3.12 on.
     """
     if not texts:
         raise ValueError("empty hypothesis list")
     n = len(texts)
-    pair = _PAIR_SCORES[known(utility, _PAIR_SCORES, "MBR utility")](texts)
+    pair = PAIR_SCORES[known(utility, PAIR_SCORES, "MBR utility")](texts)
     if n == 1:
         return [pair(0, 0)]
     utilities = []

@@ -26,7 +26,10 @@ tuple of ints, and ``HypStats.stats`` holds one per hypothesis.
 Only ``_ngram_ids`` gives n-grams ids, for token and character sequences
 alike.  BLEU clipping (``_block_stats``, behind ``hyp_stats`` and
 ``sentence_stats``) sorts them; ``_overlaps`` counts them per order, and chrF
-and the MBR utilities of ``features`` are min-and-sums over its counts.
+(through ``_chrf_stats``) and the pair scores are min-and-sums over its
+counts.  ``PAIR_SCORES`` holds the pair scorers of the MBR features of
+``features``: from a list's texts, the sentence BLEU or chrF of text i
+against text j, equal bit for bit to ``sentence_bleu``/``sentence_chrf``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -326,11 +329,12 @@ def _collapse(s: str) -> str:
     return " ".join(s.split())
 
 
-def _char_ngram_stats(hyp: str, refs: Sequence[str]) -> List[List[Tuple[int, int, int]]]:
-    """Per reference, (hyp_total, ref_total, overlap) of each character n-gram
-    order 1..6 of the whitespace-collapsed texts."""
-    pairs = _overlaps([_collapse(t) for t in (hyp, *refs)], CHRF_CHAR_ORDER)
-    return [list(zip(pairs[0][0], pairs[r][r], pairs[0][r])) for r in range(1, len(refs) + 1)]
+def _chrf_stats(texts: Sequence[str]) -> Callable[[int, int], List[Tuple[int, int, int]]]:
+    """The chrF statistics of text i against text j of ``texts``: (i's
+    n-grams, j's n-grams, shared) of each character n-gram order 1..6 of the
+    whitespace-collapsed texts."""
+    pairs = _overlaps([_collapse(t) for t in texts], CHRF_CHAR_ORDER)
+    return lambda i, j: list(zip(pairs[i][i], pairs[j][j], pairs[i][j]))
 
 
 def _chrf_from_stats(stats: Sequence[Tuple[int, int, int]]) -> float:
@@ -357,8 +361,9 @@ def _best_ref_chrf_stats(hyp: str, refs: Sequence[str]) -> List[Tuple[int, int, 
     # against multiple references, keep the statistics of the best-scoring one
     if not refs:
         raise ValueError("at least one reference required")
+    stats = _chrf_stats([hyp, *refs])
     # max keeps the first of equally scoring references
-    return max(_char_ngram_stats(hyp, refs), key=_chrf_from_stats)
+    return max((stats(0, r) for r in range(1, len(refs) + 1)), key=_chrf_from_stats)
 
 
 def sentence_chrf(hyp: str, refs: Sequence[str]) -> float:
@@ -372,3 +377,25 @@ def corpus_chrf(pairs: Iterable[Tuple[str, Sequence[str]]]) -> float:
     for hyp, refs in pairs:
         agg += _best_ref_chrf_stats(hyp, refs)
     return _chrf_from_stats(agg.tolist())
+
+
+# ---------------------------------------------------------------------------
+# MBR pair scores
+
+
+def _bleu_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
+    toks = tokenize_many(texts)
+    overlaps = _overlaps(toks, NGRAM_ORDER)
+    return lambda i, j: corpus_bleu(
+        (*overlaps[i][j], *overlaps[i][i], len(toks[i]), len(toks[j])))
+
+
+def _chrf_pairs(texts: Sequence[str]) -> Callable[[int, int], float]:
+    stats = _chrf_stats(texts)
+    return lambda i, j: _chrf_from_stats(stats(i, j))
+
+
+# Per sentence-level metric, from a list's texts, the score of text i against
+# text j: ``PAIR_SCORES[name](texts)(i, j)`` equals ``name(texts[i],
+# [texts[j]])`` bit for bit, and the n-gram overlaps of the list are counted once.
+PAIR_SCORES = {"sentence_bleu": _bleu_pairs, "sentence_chrf": _chrf_pairs}

@@ -15,7 +15,8 @@ Hook command templates get ``{ITER}``, ``{IN}`` and ``{OUT}`` substituted
 with the iteration directory as working directory.  A hook stage starts all
 of its calls at once, then waits for every one: ``generate_nbest`` makes one
 call per data set, ``scores`` one per external feature and data set.  Each
-call's stdout and stderr go to ``iterN/logs/<hook>.<set>.out`` and ``.err``.
+call's stdout and stderr go to ``iterN/logs/<hook>.<set>.out`` and ``.err``,
+and each call leads its own process group, which an interrupted run ends.
 A call fails when it exits nonzero or leaves ``{OUT}`` unwritten; once all
 calls have ended, the stage raises the HookError of the first failed call
 (by feature in config order, then by set: tune, dev, transfer), and a re-run
@@ -42,8 +43,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -478,15 +481,34 @@ def _run_hook(
     # the child writes the logs through its own descriptors, so they are
     # closed (and in place) here, and no output passes through this process
     with open_out(f"{log}.out") as out, open_out(f"{log}.err") as err:
-        return subprocess.Popen(cmd, shell=True, cwd=str(it.dir), stdout=out, stderr=err)
+        return subprocess.Popen(cmd, shell=True, cwd=str(it.dir), stdout=out, stderr=err,
+                                start_new_session=True)
 
 
 def _run_hooks(it: _Iteration, calls: Sequence[Tuple[str, str, Path, Path]]) -> None:
     """Start every ``(hook, set, IN, OUT)`` call of a stage, wait for all of
-    them, then raise the HookError of the first failed call in ``calls``."""
+    them, then raise the HookError of the first failed call in ``calls``.
+
+    Each call leads its own process group.  An interrupt (Ctrl-C, or the
+    SIGTERM that ``nbdistill selftrain`` turns into ``SystemExit``) sends
+    SIGTERM to the group of every call still running, and re-raises once
+    they have been waited for.
+    """
     it.logs.mkdir(exist_ok=True)
+    procs: List[subprocess.Popen] = []
     with ExitStack() as running:  # waits for each started call, also if a start raises
-        procs = [running.enter_context(_run_hook(it, *call)) for call in calls]
+        try:
+            for call in calls:
+                procs.append(running.enter_context(_run_hook(it, *call)))
+            for proc in procs:
+                proc.wait()
+        except (KeyboardInterrupt, SystemExit):
+            for proc in procs:
+                if proc.poll() is None:  # not reaped, so its group is still there
+                    os.killpg(proc.pid, signal.SIGTERM)
+            for proc in procs:  # after a KeyboardInterrupt, Popen's exit waits 0.25 s only
+                proc.wait()
+            raise
     for (hook, set_name, _, out_path), proc in zip(calls, procs):
         stage = f"{hook}[{set_name}]"
         if proc.returncode != 0:
@@ -610,7 +632,9 @@ def run_iteration(
         )
     it = _Iteration(config, iter_n)
     it.dir.mkdir(parents=True, exist_ok=True)
-    started = _utc_now()
+    stamp = it.dir / ".started"  # the time of the first start, kept for a resume
+    if not stamp.exists():
+        write_text(stamp, _utc_now() + "\n")
     for stage, run_stage in _STAGE_TABLE:
         marker = it.dir / f".{stage}.done"
         if not marker.exists():
@@ -621,7 +645,7 @@ def run_iteration(
         dev_bleu=load_file(it.dev_bleu, _load_bleu),
         weights_path=str(it.weights),
         labels_path=str(label_paths(it.labels, config.label_format)[-1]),
-        started=started,
+        started=load_file(stamp, lambda stream: stream.read().strip()),
         finished=_utc_now(),
     )
     _append_ledger(ledger, state)

@@ -34,24 +34,42 @@ class Mutant(NamedTuple):
     tests: Tuple[str, ...]  # pytest node ids, one of which must fail
 
 
-_WAIT = """    with ExitStack() as running:  # waits for each started call, also if a start raises
-        procs = [running.enter_context(_run_hook(it, *call)) for call in calls]
+_WAIT = """    procs: List[subprocess.Popen] = []
+    with ExitStack() as running:  # waits for each started call, also if a start raises
+        try:
+            for call in calls:
+                procs.append(running.enter_context(_run_hook(it, *call)))
+            for proc in procs:
+                proc.wait()
+        except (KeyboardInterrupt, SystemExit):
+            for proc in procs:
+                if proc.poll() is None:  # not reaped, so its group is still there
+                    os.killpg(proc.pid, signal.SIGTERM)
+            for proc in procs:  # after a KeyboardInterrupt, Popen's exit waits 0.25 s only
+                proc.wait()
+            raise
 """
+_START = "                procs.append(running.enter_context(_run_hook(it, *call)))\n"
+_KILL = "                    os.killpg(proc.pid, signal.SIGTERM)\n"
+_HANDLER = "    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)\n"
 _CHECK = "    for (hook, set_name, _, out_path), proc in zip(calls, procs):\n"
 _SUM = """        total = 0.0
         for j in range(n):
             if j != i:
                 total += pair(i, j)
 """
+_LOOKUP = """    label, score, signature = METRICS[known(metric, METRICS, "metric")]
+    hyps, loaded = load_lines(hyp), load_references(refs)
+"""
 _ROW = "clipped, totals, hyp_len, ref_len = stats[0:4], stats[4:8], stats[8], stats[9]"
 _HOOKS = "tests/test_pipeline.py::TestHookCalls::"
+_INTERRUPT = "tests/test_cli.py::test_an_interrupted_selftrain_ends_its_hook_calls"
 
 MUTANTS = (
     # the calls of a hook stage
-    Mutant("hooks-wait-after-each-start", "src/nbdistill/pipeline.py", _WAIT, _WAIT.replace(
-        "running.enter_context(_run_hook(it, *call))",
-        "(proc := running.enter_context(_run_hook(it, *call)), proc.wait())[0]"),
-        (_HOOKS + "test_the_calls_of_a_stage_run_together",)),
+    Mutant("hooks-wait-after-each-start", "src/nbdistill/pipeline.py", _START,
+           _START + "                procs[-1].wait()\n",
+           (_HOOKS + "test_the_calls_of_a_stage_run_together",)),
     Mutant("hooks-raise-before-the-others-are-waited-for", "src/nbdistill/pipeline.py",
            _WAIT + _CHECK,
            "    procs = [_run_hook(it, *call) for call in calls]\n" + _CHECK
@@ -68,6 +86,22 @@ MUTANTS = (
         order += [n for n, proc in enumerate(procs) if n not in order and proc.poll() is not None]
     calls, procs = [calls[n] for n in order], [procs[n] for n in order]
 """, (_HOOKS + "test_the_first_failure_in_call_order_is_reported",)),
+    Mutant("hooks-every-exception-ends-the-calls", "src/nbdistill/pipeline.py",
+           "        except (KeyboardInterrupt, SystemExit):\n",
+           "        except BaseException:\n",
+           (_HOOKS + "test_a_start_that_raises_waits_for_the_started_calls",)),
+    # an interrupted selftrain
+    Mutant("hooks-an-interrupt-leaves-the-calls-running", "src/nbdistill/pipeline.py", _KILL,
+           _KILL.replace("os.killpg(proc.pid, signal.SIGTERM)", "pass"),
+           (_INTERRUPT + "[SIGTERM]",)),
+    Mutant("hooks-calls-in-the-orchestrator-session", "src/nbdistill/pipeline.py",
+           "start_new_session=True", "start_new_session=False", (_INTERRUPT + "[SIGINT]",)),
+    Mutant("selftrain-sigterm-not-handled", "src/nbdistill/cli.py", _HANDLER,
+           _HANDLER.replace("_exit_on_sigterm", "signal.getsignal(signal.SIGTERM)"),
+           (_INTERRUPT + "[SIGTERM]",)),
+    Mutant("selftrain-sigterm-handler-kept", "src/nbdistill/cli.py",
+           "        signal.signal(signal.SIGTERM, previous)\n", "        pass\n",
+           ("tests/test_cli.py::test_selftrain_holds_its_sigterm_handler_only_while_it_runs",)),
     Mutant("hooks-stderr-tail-keeps-leading-blank-lines", "src/nbdistill/pipeline.py",
            "            if kept:\n                blank.append(line)\n",
            "            blank.append(line)\n",
@@ -85,9 +119,33 @@ MUTANTS = (
     Mutant("bleu-slices-swapped", "src/nbdistill/metrics.py", _ROW,
            _ROW.replace("stats[0:4], stats[4:8]", "stats[4:8], stats[0:4]"),
            ("tests/test_metrics.py::TestCorpusBleu::test_constructed_stats_agree_with_formula",)),
-    Mutant("mbr-pair-lengths-swapped", "src/nbdistill/features.py",
+    Mutant("mbr-pair-lengths-swapped", "src/nbdistill/metrics.py",
            "len(toks[i]), len(toks[j])", "len(toks[j]), len(toks[i])",
            ("tests/test_features.py::TestMbrUtility::test_bit_identical_to_per_pair_definition",)),
+    # BLEU and chrF statistics
+    Mutant("ref-length-ties-to-the-longer", "src/nbdistill/metrics.py",
+           "[sorted(map(len, refs)) for refs", "[sorted(map(len, refs), reverse=True) for refs",
+           ("tests/test_metrics.py::TestSentenceStats::test_closest_ref_len_tie_goes_shorter",)),
+    Mutant("hyp-stats-short-validity-mask", "src/nbdistill/metrics.py",
+           "    return HypStats(stats, valid)\n",
+           "    return HypStats(stats, np.arange(n_max) < lengths[:, None] - 1)\n",
+           ("tests/test_metrics.py::TestHypStats::test_equal_to_per_hypothesis_loop",)),
+    Mutant("chrf-worst-reference", "src/nbdistill/metrics.py",
+           "return max((stats(0, r)", "return min((stats(0, r)",
+           ("tests/test_metrics.py::TestChrf::test_multi_reference_takes_best",)),
+    # checks before reads
+    Mutant("evaluate-metric-looked-up-after-the-reads", "src/nbdistill/pipeline.py", _LOOKUP,
+           "\n".join(reversed(_LOOKUP.splitlines())) + "\n",
+           ("tests/test_pipeline.py::test_an_unknown_name_fails_before_a_file_is_read"
+            "[evaluate_file-misspelt]",)),
+    # MIRA's visit order
+    Mutant("pcg-spare-halves-swapped", "src/nbdistill/mira.py",
+           "self.spare, value = value >> 32, value & _M32",
+           "self.spare, value = value & _M32, value >> 32",
+           ("tests/test_mira.py::TestVisitOrder::test_pinned_orders",)),
+    Mutant("pcg-modulo-for-rejection", "src/nbdistill/mira.py",
+           "while (j := draw() & mask) > i:", "while (j := draw() % (i + 1)) > i:",
+           ("tests/test_mira.py::TestVisitOrder::test_pinned_orders",)),
 )
 
 

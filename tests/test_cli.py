@@ -1,16 +1,19 @@
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import nbdistill
 from nbdistill.cli import MODE_FLAGS, build_parser, check_mode_flags, main
 from nbdistill.corpus import FormatError
 from nbdistill.mira import MiraConfig
-from nbdistill.pipeline import STRATEGIES, PipelineConfig
+from nbdistill.pipeline import STRATEGIES, HookError, PipelineConfig
 from synth import build_pipeline_fixtures, make_corpus, nbest_lines, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -627,6 +630,65 @@ def test_selftrain_config_check_names_the_file(tmp_path, capsys, monkeypatch, ol
     code, out, err = run(capsys, "selftrain", "--config", ini.name)
     assert (code, out, err) == (1, "", f"error: {ini.name}: {message.format(root=tmp_path)}\n")
     assert list((tmp_path / "work").iterdir()) == []
+
+
+@pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGINT, -signal.SIGINT)],
+                         ids=["SIGTERM", "SIGINT"])
+def test_an_interrupted_selftrain_ends_its_hook_calls(tmp_path, signum, code):
+    """The calls of the running hook stage end with the orchestrator, so
+    none of them writes its output afterwards, and a resume re-runs the stage."""
+    ini = build_pipeline_fixtures(tmp_path, iterations=1)
+    ini.write_text(ini.read_text().replace(
+        "generate_nbest = ", "generate_nbest = touch started.$(basename {OUT}) && sleep 3 && "))
+    # a shell may start a background job with SIGINT ignored, and Python then
+    # keeps ignoring it
+    child = ("import signal, sys\n"
+             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+             "from nbdistill.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["selftrain", "--config", ini.name]
+    # the children import the package under test, also where it is not SRC
+    package = str(Path(nbdistill.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", child, *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    itdir = tmp_path / "work" / "iter1"
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(itdir.glob("started.*"))) < 3:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=5) == code
+    finally:
+        proc.kill()
+        proc.wait()
+    time.sleep(4)
+    assert list(itdir.glob("nbest.*")) == []
+    assert not (itdir / ".generate_nbest.done").exists()
+    done = subprocess.run([sys.executable, "-m", "nbdistill", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "work" / "final.json").is_file()
+
+
+def test_selftrain_holds_its_sigterm_handler_only_while_it_runs(tmp_path, capsys, monkeypatch):
+    import nbdistill.cli as cli
+
+    ini = build_pipeline_fixtures(tmp_path, iterations=1)
+    monkeypatch.chdir(tmp_path)
+    before, during = signal.getsignal(signal.SIGTERM), []
+
+    def run_selftrain(config):
+        during.append(signal.getsignal(signal.SIGTERM))
+        raise HookError("stage generate_nbest[tune]: hook exited 1: false")
+
+    monkeypatch.setattr(cli, "run_selftrain", run_selftrain)
+    code, _, err = run(capsys, "selftrain", "--config", ini.name)
+    assert (code, err) == (1, "error: stage generate_nbest[tune]: hook exited 1: false\n")
+    assert during[0] not in (before, signal.SIG_DFL)
+    assert signal.getsignal(signal.SIGTERM) == before
 
 
 def test_cli_reads_scores_and_writes_only_through_pipeline_steps():

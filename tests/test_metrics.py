@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 from collections import Counter
@@ -7,7 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nbdistill
 from nbdistill.metrics import (
+    PAIR_SCORES,
     _BLOCK_SENTENCES,
     _overlaps,
     corpus_bleu,
@@ -301,6 +304,31 @@ class TestOverlaps:
     @example(["", ""], 6)
     def test_character_sequences_equal_to_counter_intersection(self, texts, orders):
         assert _overlaps(texts, orders) == counter_overlaps(texts, orders)
+
+
+class TestPairScores:
+    @settings(max_examples=200)
+    @given(hypothesis_lists())
+    @example(["", "a", "a b . c", "a b . c"])
+    def test_each_pair_equal_to_its_sentence_metric(self, texts):
+        for name, metric in (("sentence_bleu", sentence_bleu), ("sentence_chrf", sentence_chrf)):
+            pair = PAIR_SCORES[name](texts)
+            for i, hyp in enumerate(texts):
+                for j, ref in enumerate(texts):
+                    assert repr(pair(i, j)) == repr(metric(hyp, [ref])), (name, i, j)
+
+
+def test_only_metrics_reaches_its_private_names():
+    """The statistics layouts stay inside ``metrics``: no other module of the
+    package imports a ``_``-prefixed name from it."""
+    reached = set()
+    for path in Path(nbdistill.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and path.stem != "metrics"
+                    and node.module in ("metrics", "nbdistill.metrics")):
+                reached.update(f"{path.stem}: {a.name}" for a in node.names
+                               if a.name.startswith("_"))
+    assert reached == set()
 
 
 class TestSentenceBleu:

@@ -1084,6 +1084,20 @@ class TestSelfTrain:
             b = Path(clean_config.workdir) / f"iter{it}" / "weights.tsv"
             assert a.read_bytes() == b.read_bytes()
 
+    def test_a_resumed_iteration_keeps_the_time_of_its_first_start(self, tmp_path, monkeypatch):
+        marker = tmp_path / "crash"
+        config = PipelineConfig.from_file(
+            build_pipeline_fixtures(tmp_path, iterations=1, fail_marker=marker))
+        times = iter(f"t{n}" for n in range(10))
+        monkeypatch.setattr(pipeline, "_utc_now", lambda: next(times))
+        marker.touch()
+        with pytest.raises(HookError):
+            run_iteration(config)
+        marker.unlink()
+        state = run_iteration(config)
+        assert (state.started, state.finished) == ("t0", "t1")
+        assert read_ledger(pipeline.ledger_path(config.workdir)) == [state]
+
     def test_a_failed_final_write_keeps_the_previous_labels(self, tmp_path, monkeypatch):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path, iterations=1))
         run_selftrain(config)
