@@ -42,38 +42,6 @@ from .pipeline import (
 )
 
 
-# How each command with modes picks its mode, and the flags that only some of
-# its modes read: True where the mode needs the flag, "or" where it needs one of
-# the flags so marked.  Any other is an error.
-MODE_FLAGS = {
-    "distill": (lambda args: args.strategy,
-                {"kd": {}, "ki": {"orig_refs": True},
-                 "rerank": {"matrix": True, "weights": True, "top_k_models": False}}),
-    "oracle": (lambda args: "select" if args.sweep is None else "--sweep",
-               {"select": {"mode": False}, "--sweep": {}}),
-    "rerank": (lambda args: "--report" if args.report else "without --report",
-               {"without --report": {"top_k_models": False},
-                "--report": {"refs": "or", "top_k_models": "or"}}),
-}
-
-
-def check_mode_flags(args) -> None:
-    """Reject a flag the mode of ``args`` does not read, and a missing one it needs."""
-    if args.command in MODE_FLAGS:
-        pick, modes = MODE_FLAGS[args.command]
-        mode = pick(args)
-        for dest in dict.fromkeys(dest for flags in modes.values() for dest in flags):
-            flag, given = "--" + dest.replace("_", "-"), getattr(args, dest) is not None
-            if given and dest not in modes[mode]:
-                raise ValueError(f"{args.command} {mode} does not read {flag}")
-            if modes[mode].get(dest) is True and not given:
-                raise ValueError(f"{args.command} {mode} requires {flag}")
-        either = [dest for dest, need in modes[mode].items() if need == "or"]
-        if either and all(getattr(args, dest) is None for dest in either):
-            flags = " or ".join("--" + dest.replace("_", "-") for dest in either)
-            raise ValueError(f"{args.command} {mode} requires {flags}")
-
-
 def _sweep_size(text: str) -> int:
     try:
         return int(text)
@@ -104,6 +72,11 @@ def cmd_tune(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    # --report prints the BLEU of --refs and the features --top-k-models keeps
+    if args.report and args.refs is None and args.top_k_models is None:
+        raise ValueError("rerank --report requires --refs or --top-k-models")
+    if not args.report and args.refs is not None:
+        raise ValueError("rerank without --report does not read --refs")
     result, mask = rerank_file(args.matrix, args.nbest, args.weights, args.out,
                                args.top_k_models, args.refs)
     if args.report:
@@ -116,7 +89,7 @@ def cmd_rerank(args) -> int:
 
 def cmd_oracle(args) -> int:
     sweep = None if args.sweep is None else [_sweep_size(n) for n in args.sweep]
-    mode = "anti_oracle" if args.mode == "anti" else "oracle"
+    mode = "anti_oracle" if args.mode == "anti" else args.mode
     bleu, short_lists = oracle_file(args.nbest, args.refs, args.out, mode, sweep)
     print("note: greedy per-sentence selection by smoothed sentence BLEU "
           "(not a corpus-level oracle)", file=sys.stderr)
@@ -240,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        check_mode_flags(args)
         return args.func(args)
     except (ValueError, HookError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 The six file-level steps ``evaluate_file``, ``assemble_file``, ``tune_file``,
 ``rerank_file``, ``oracle_file`` and ``distill_file`` each back one CLI command;
 the self-training stages run the same steps, so each writes its command's bytes.
+Before reading a file, ``distill_file`` and ``oracle_file`` reject an argument
+their mode does not read or needs and lacks, with their command's error.
 
 Each iteration shells out to user-supplied hook commands for the expensive,
 model-dependent work (n-best generation, external feature scoring) and runs
@@ -31,7 +33,8 @@ runs the stages from a table, dropping an empty ``.<stage>.done`` marker after
 each, so a killed run resumes at the first incomplete stage and (for
 deterministic hooks) reproduces identical bytes.  Completed iterations are
 recorded in an append-only ``ledger.jsonl`` (guarded by whole-file
-replace-on-write).
+replace-on-write); its paths are a record, as each iteration's files are
+taken from the configured workdir.
 
 The loop stops when the configured maximum number of iterations is reached,
 or when the dev-set BLEU gain over the previous iteration falls below
@@ -52,7 +55,7 @@ import sys
 import time
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -358,6 +361,8 @@ def _append_ledger(path: Path, state: IterationState) -> None:
 
 # The modes of two file-level steps.  Entries call layer functions by this
 # module's names, so that a function replaced in this module is the one called.
+# A strategy maps each optional argument of ``distill_file`` that it reads to
+# whether it needs it; ``_check_reads`` rejects any other.
 METRICS = {
     "bleu": ("BLEU", lambda hyps, refs: corpus_bleu(corpus_stats(hyps, refs)),
              "eff:no|tok:13a|smooth:exp"),
@@ -365,12 +370,24 @@ METRICS = {
              f"nc:{CHRF_CHAR_ORDER}|nw:0|beta:{int(CHRF_BETA)}|space:collapse"),
 }
 STRATEGIES = {
-    "kd": ((), lambda nbest, args: kd_top1(load_file(nbest, load_nbest))),
-    "ki": (("refs",), lambda nbest, args: ki_select(
-        load_file(nbest, load_nbest), load_references(args["refs"]))),
-    "rerank": (("matrix", "weights"), lambda nbest, args: rerank_labels(
-        *_rerank_inputs(args["matrix"], nbest, args["weights"], args["models"]))),
+    "kd": ({}, lambda nbest, args: kd_top1(load_file(nbest, load_nbest))),
+    "ki": ({"orig_refs": True}, lambda nbest, args: ki_select(
+        load_file(nbest, load_nbest), load_references(args["orig_refs"]))),
+    "rerank": ({"matrix": True, "weights": True, "top_k_models": False},
+               lambda nbest, args: rerank_labels(*_rerank_inputs(
+                   args["matrix"], nbest, args["weights"], args["top_k_models"]))),
 }
+
+
+def _check_reads(step: str, reads: Dict[str, bool], given: Dict[str, object]) -> None:
+    """Reject an argument of ``given`` that ``step`` does not read but is not
+    None, and one it needs that is None or empty, naming it by its flag."""
+    for name, value in given.items():
+        flag = "--" + name.replace("_", "-")
+        if value is not None and name not in reads:
+            raise ValueError(f"{step} does not read {flag}")
+        if reads.get(name) and not value:
+            raise ValueError(f"{step} requires {flag}")
 
 
 def evaluate_file(hyp: str | Path, refs: Sequence[str | Path], metric: str = "bleu") -> str:
@@ -411,21 +428,21 @@ def tune_file(
 
 def _rerank_inputs(
     matrix: str | Path, nbest: str | Path, weights: str | Path,
-    models: Optional[int],
+    top_k_models: Optional[int],
 ) -> Tuple[FeatureMatrix, NBestCorpus, WeightVector, Optional[frozenset]]:
-    """The arguments of ``rerank``; ``models`` is k for ``select_models``."""
+    """The arguments of ``rerank``; ``top_k_models`` is k for ``select_models``."""
     loaded = load_file(weights, load_weights)
-    mask = None if models is None else select_models(loaded, models)
+    mask = None if top_k_models is None else select_models(loaded, top_k_models)
     return load_file(matrix, load_matrix), load_file(nbest, load_nbest), loaded, mask
 
 
 def rerank_file(
     matrix: str | Path, nbest: str | Path, weights: str | Path, out: str | Path,
-    models: Optional[int] = None, refs: Optional[Sequence[str | Path]] = None,
+    top_k_models: Optional[int] = None, refs: Optional[Sequence[str | Path]] = None,
 ) -> Tuple[RerankResult, Optional[frozenset]]:
     """Write the ``SID<TAB>RANK<TAB>TEXT`` selections of the reranker and
     return them with the mask applied; ``refs`` add the corpus BLEU."""
-    inputs = _rerank_inputs(matrix, nbest, weights, models)
+    inputs = _rerank_inputs(matrix, nbest, weights, top_k_models)
     result = rerank(*inputs, refs=None if refs is None else load_references(refs))
     write_text(out, format_selections(result))
     return result, inputs[-1]
@@ -433,13 +450,15 @@ def rerank_file(
 
 def oracle_file(
     nbest: str | Path, refs: Sequence[str | Path], out: Optional[str | Path] = None,
-    mode: str = "oracle", sweep: Optional[Sequence[int]] = None,
+    mode: Optional[str] = None, sweep: Optional[Sequence[int]] = None,
 ) -> Tuple[Optional[float], int]:
-    """Write the greedy ``mode`` selections of an n-best file, or with
-    ``sweep`` sizes its beam-sweep table, to ``out`` or else standard output.
-    Returns the selections' corpus BLEU (None for a sweep) and the number of
-    lists shorter than a sweep size."""
-    known(mode, ORACLE_MODES, "oracle mode")
+    """Write the greedy ``mode`` (default "oracle") selections of an n-best
+    file, or with ``sweep`` sizes and no mode its beam-sweep table, to ``out``
+    or else standard output.  Returns the selections' corpus BLEU (None for a
+    sweep) and the number of lists shorter than a sweep size."""
+    if sweep is not None:
+        _check_reads("oracle --sweep", {}, {"mode": mode})
+    mode = known("oracle" if mode is None else mode, ORACLE_MODES, "oracle mode")
     corpus, loaded = load_file(nbest, load_nbest), load_references(refs)
     if sweep is not None:
         rows, short_lists = beam_sweep(corpus, loaded, sweep)
@@ -457,15 +476,15 @@ def oracle_file(
 def distill_file(
     strategy: str, nbest: str | Path, src: str | Path, out_prefix: str | Path, fmt: str = "tsv",
     matrix: Optional[str | Path] = None, weights: Optional[str | Path] = None,
-    models: Optional[int] = None, refs: Sequence[str | Path] = (),
+    top_k_models: Optional[int] = None, orig_refs: Optional[Sequence[str | Path]] = None,
 ) -> List[Path]:
-    """Write the ``STRATEGIES`` labels (ki: nearest ``refs``) of ``src``; returns the paths."""
-    needs, labels_of = STRATEGIES[known(strategy, STRATEGIES, "strategy")]
+    """Write the ``STRATEGIES`` labels (ki: nearest ``orig_refs``) of ``src``;
+    returns the paths."""
+    reads, labels_of = STRATEGIES[known(strategy, STRATEGIES, "strategy")]
     known(fmt, LABEL_SUFFIXES, "label format")
-    args = {"matrix": matrix, "weights": weights, "models": models, "refs": refs}
-    for name in needs:
-        if not args[name]:
-            raise ValueError(f"strategy {strategy!r} needs the {name!r} argument")
+    args = {"orig_refs": orig_refs, "matrix": matrix, "weights": weights,
+            "top_k_models": top_k_models}
+    _check_reads(f"distill {strategy}", reads, args)
     labels = labels_of(nbest, args)
     return write_pseudo_labels(load_file(src, load_sources), labels, out_prefix, fmt)
 
@@ -548,9 +567,14 @@ class _Iteration:
         self.matrix = {name: self.dir / f"matrix.{name}.tsv" for name in DATA_SETS}
         self.weights = self.dir / "weights.tsv"
         self.labels = self.dir / "labels"  # the prefix of the label files
+        self.label_files = label_paths(self.labels, config.label_format)
         self.selected = self.dir / "selected.txt"
         self.dev_bleu = self.dir / "dev_bleu.txt"
         self.logs = self.dir / "logs"
+
+    def paths(self) -> Dict[str, str]:
+        """The ledger's record of the iteration's weights and labels files."""
+        return {"weights_path": str(self.weights), "labels_path": str(self.label_files[-1])}
 
     def scores(self, feature: str, set_name: str) -> Path:
         return self.dir / f"scores.{feature}.{set_name}.tsv"
@@ -596,7 +620,7 @@ def _distill(it: _Iteration) -> None:
 def _evaluate(it: _Iteration) -> None:
     result, _ = rerank_file(
         it.matrix["dev"], it.nbest["dev"], it.weights, it.dir / "selections.dev.tsv",
-        models=it.config.top_k_models, refs=it.config.dev_refs,
+        top_k_models=it.config.top_k_models, refs=it.config.dev_refs,
     )
     write_text(it.dev_bleu, repr(result.corpus_score) + "\n")
 
@@ -626,10 +650,10 @@ def run_iteration(
     for state in read_ledger(ledger):
         if state.iter == iter_n:
             return state
-    if iter_n > 1 and not Path(prev.labels_path).is_file():
-        raise ValueError(
-            f"iteration {iter_n} needs the previous labels: {prev.labels_path}"
-        )
+    if prev is not None:
+        labels = _Iteration(config, prev.iter).label_files[-1]
+        if not labels.is_file():
+            raise ValueError(f"iteration {iter_n} needs the previous labels: {labels}")
     it = _Iteration(config, iter_n)
     it.dir.mkdir(parents=True, exist_ok=True)
     stamp = it.dir / ".started"  # the time of the first start, kept for a resume
@@ -643,8 +667,7 @@ def run_iteration(
     state = IterationState(
         iter=iter_n,
         dev_bleu=load_file(it.dev_bleu, _load_bleu),
-        weights_path=str(it.weights),
-        labels_path=str(label_paths(it.labels, config.label_format)[-1]),
+        **it.paths(),
         started=load_file(stamp, lambda stream: stream.read().strip()),
         finished=_utc_now(),
     )
@@ -670,7 +693,7 @@ def best_iteration(states: Sequence[IterationState]) -> IterationState:
 
 def run_selftrain(config: PipelineConfig) -> Tuple[IterationState, str]:
     """Iterate until convergence or the iteration cap; returns the best-dev
-    iteration's state and the stop reason.
+    iteration's state (paths in the configured workdir) and the stop reason.
 
     Re-running over an existing workdir resumes from the ledger and the
     per-stage completion markers.
@@ -680,8 +703,9 @@ def run_selftrain(config: PipelineConfig) -> Tuple[IterationState, str]:
     workdir.mkdir(parents=True, exist_ok=True)
     states = read_ledger(ledger_path(workdir))
     for state in states:
-        for label, path in (("weights", state.weights_path), ("labels", state.labels_path)):
-            if not Path(path).is_file():
+        it = _Iteration(config, state.iter)
+        for label, path in (("weights", it.weights), ("labels", it.label_files[-1])):
+            if not path.is_file():
                 raise ValueError(
                     f"ledger iteration {state.iter} references a missing "
                     f"{label} file: {path}"
@@ -692,7 +716,7 @@ def run_selftrain(config: PipelineConfig) -> Tuple[IterationState, str]:
         states.append(run_iteration(config, prev))
         reason = stopping_reason(states, config)
     best = best_iteration(states)
-    final_labels = _finalize_labels(workdir, best, config.label_format)
+    final_labels = _finalize_labels(config, best)
     summary = {
         "best_iteration": best.iter,
         "dev_bleu": best.dev_bleu,
@@ -700,16 +724,15 @@ def run_selftrain(config: PipelineConfig) -> Tuple[IterationState, str]:
         "labels": str(final_labels),
     }
     write_text(workdir / "final.json", json.dumps(summary, sort_keys=True) + "\n")
-    return best, reason
+    return replace(best, **_Iteration(config, best.iter).paths()), reason
 
 
-def _finalize_labels(workdir: Path, best: IterationState, label_format: str) -> Path:
+def _finalize_labels(config: PipelineConfig, best: IterationState) -> Path:
     """Copy the best iteration's label files to ``final.labels.*``; returns
     the copy of its labels path."""
-    prefix = Path(best.labels_path).with_suffix("")
-    for src, dst in zip(label_paths(prefix, label_format),
-                        label_paths(workdir / "final.labels", label_format)):
-        write_text(dst, Path(src).read_text(encoding="utf-8"))
+    for src, dst in zip(_Iteration(config, best.iter).label_files,
+                        label_paths(Path(config.workdir) / "final.labels", config.label_format)):
+        write_text(dst, src.read_text(encoding="utf-8"))
     return dst
 
 

@@ -64,6 +64,22 @@ _LOOKUP = """    label, score, signature = METRICS[known(metric, METRICS, "metri
 _ROW = "clipped, totals, hyp_len, ref_len = stats[0:4], stats[4:8], stats[8], stats[9]"
 _HOOKS = "tests/test_pipeline.py::TestHookCalls::"
 _INTERRUPT = "tests/test_cli.py::test_an_interrupted_selftrain_ends_its_hook_calls"
+_UNREAD = """        if value is not None and name not in reads:
+            raise ValueError(f"{step} does not read {flag}")
+"""
+_SWEEP_MODE = """    if sweep is not None:
+        _check_reads("oracle --sweep", {}, {"mode": mode})
+"""
+_NO_REPORT = """    if args.report and args.refs is None and args.top_k_models is None:
+        raise ValueError("rerank --report requires --refs or --top-k-models")
+"""
+_REFS_UNREPORTED = """    if not args.report and args.refs is not None:
+        raise ValueError("rerank without --report does not read --refs")
+"""
+_RULES = "tests/test_pipeline.py::test_an_argument_the_mode_does_not_read_fails_before_a_file_is_read"
+_MODE_FLAGS = "tests/test_cli.py::TestModeFlags::test_a_flag_the_mode_does_not_read_fails"
+_MBR = "tests/test_features.py::TestMbrUtility::"
+_COPIED = "tests/test_pipeline.py::TestSelfTrain::test_a_copied_workdir_finalizes_from_its_own_files"
 
 MUTANTS = (
     # the calls of a hook stage
@@ -121,7 +137,7 @@ MUTANTS = (
            ("tests/test_metrics.py::TestCorpusBleu::test_constructed_stats_agree_with_formula",)),
     Mutant("mbr-pair-lengths-swapped", "src/nbdistill/metrics.py",
            "len(toks[i]), len(toks[j])", "len(toks[j]), len(toks[i])",
-           ("tests/test_features.py::TestMbrUtility::test_bit_identical_to_per_pair_definition",)),
+           (_MBR + "test_bit_identical_to_per_pair_definition",)),
     # BLEU and chrF statistics
     Mutant("ref-length-ties-to-the-longer", "src/nbdistill/metrics.py",
            "[sorted(map(len, refs)) for refs", "[sorted(map(len, refs), reverse=True) for refs",
@@ -138,6 +154,61 @@ MUTANTS = (
            "\n".join(reversed(_LOOKUP.splitlines())) + "\n",
            ("tests/test_pipeline.py::test_an_unknown_name_fails_before_a_file_is_read"
             "[evaluate_file-misspelt]",)),
+    # the argument rules of the file-level steps and of rerank --report
+    Mutant("step-unread-argument-accepted", "src/nbdistill/pipeline.py", _UNREAD, "",
+           (_RULES + "[kd-matrix]",)),
+    Mutant("step-needed-but-empty-argument-accepted", "src/nbdistill/pipeline.py",
+           "and not value:", "and value is None:",
+           ("tests/test_pipeline.py::test_distill_names_a_missing_argument_before_a_file_is_read"
+            "[ki-empty]",)),
+    Mutant("oracle-sweep-reads-mode", "src/nbdistill/pipeline.py", _SWEEP_MODE, "",
+           (_RULES + "[oracle-sweep-mode]",)),
+    Mutant("rerank-report-without-refs-or-mask", "src/nbdistill/cli.py", _NO_REPORT, "",
+           (_MODE_FLAGS + "[rerank --matrix m --nbest n --weights w --out o --report-"
+            "rerank --report requires --refs or --top-k-models]",)),
+    Mutant("rerank-refs-without-report", "src/nbdistill/cli.py", _REFS_UNREPORTED, "",
+           (_MODE_FLAGS + "[rerank --matrix m --nbest n --weights w --out o --refs r-"
+            "rerank without --report does not read --refs]",)),
+    # a copied or moved workdir
+    Mutant("finalize-from-the-ledger-path", "src/nbdistill/pipeline.py",
+           "zip(_Iteration(config, best.iter).label_files,",
+           'zip(label_paths(Path(best.labels_path).with_suffix(""), config.label_format),',
+           (_COPIED,)),
+    Mutant("resume-checks-the-ledger-paths", "src/nbdistill/pipeline.py",
+           '(("weights", it.weights), ("labels", it.label_files[-1]))',
+           '(("weights", state.weights_path), ("labels", state.labels_path))',
+           (_COPIED,)),
+    # what only a child process shows
+    Mutant("main-exit-status-dropped", "src/nbdistill/__main__.py",
+           "sys.exit(main())", "sys.exit(main() and 0)",
+           ("tests/test_cli.py::TestConfigSyntaxErrors::test_error_names_the_file_and_the_line"
+            "[json]",)),
+    Mutant("cli-import-keeps-the-blas-pin", "src/nbdistill/cli.py",
+           '        del os.environ["OPENBLAS_NUM_THREADS"]\n', "        pass\n",
+           ("tests/test_startup.py::test_cli_loads_openblas_on_one_thread_and_unsets_the_pin",)),
+    # chrF, MBR and n-gram statistics
+    Mutant("chrf-whitespace-not-collapsed", "src/nbdistill/metrics.py",
+           'return " ".join(s.split())', "return s",
+           ("tests/test_metrics.py::TestChrf::test_whitespace_runs_collapse",)),
+    Mutant("mbr-reversed-sum", "src/nbdistill/features.py",
+           "for j in range(n):", "for j in reversed(range(n)):",
+           (_MBR + "test_bytes_pinned_on_a_list_where_compensated_sums_differ",)),
+    Mutant("mbr-fixed-self-pair", "src/nbdistill/features.py",
+           "return [pair(0, 0)]", "return [100.0]",
+           (_MBR + "test_bit_identical_to_per_pair_definition",)),
+    Mutant("overlap-counts-capped-at-one", "src/nbdistill/metrics.py",
+           "np.minimum(row, counts).sum(axis=1)", "np.minimum(np.minimum(row, counts), 1).sum(axis=1)",
+           ("tests/test_metrics.py::TestOverlaps::test_word_sequences_equal_to_counter_intersection",)),
+    Mutant("ngram-keys-collide", "src/nbdistill/metrics.py",
+           "prefix[start] * v + tokens[start + k]", "prefix[start] + tokens[start + k]",
+           ("tests/test_metrics.py::TestSentenceStats::test_matches_oracle",)),
+    # the config reader
+    Mutant("config-repeated-json-key-accepted", "src/nbdistill/pipeline.py",
+           'raise ValueError(f"repeated key {key!r}")', "pass",
+           ("tests/test_pipeline.py::TestConfig::test_repeated_json_key_rejected[key]",)),
+    Mutant("config-line-split-at-the-last-equals", "src/nbdistill/pipeline.py",
+           'line.partition("=")', 'line.rpartition("=")',
+           ("tests/test_pipeline.py::test_ini_reader_matches_configparser",)),
     # MIRA's visit order
     Mutant("pcg-spare-halves-swapped", "src/nbdistill/mira.py",
            "self.spare, value = value >> 32, value & _M32",

@@ -1,11 +1,14 @@
-"""Deterministic synthetic corpora for the test suite.
+"""Deterministic synthetic corpora for the test suite, and the environment
+of a child process that runs the package under test.
 
 All generated text is lowercase alphabetic words separated by single spaces,
 so 13a tokenization coincides with whitespace splitting and the brute-force
 oracles in oracles.py apply directly.
 """
 
+import os
 import random
+from pathlib import Path
 
 VOCAB = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel",
@@ -75,6 +78,18 @@ def nbest_lines(hyps, scores=None):
                 named = scores(sid, rank)
             lines.append(f"{sid} ||| {text} ||| {named} ||| {total}")
     return lines
+
+
+def child_env(env=None):
+    """``env`` (default: this process's environment) with the directory of the
+    imported ``nbdistill`` first on ``PYTHONPATH``, so that a child process
+    imports the package under test, also where it is not the checkout's."""
+    import nbdistill
+
+    env = dict(os.environ if env is None else env)
+    package = str(Path(nbdistill.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_lines(path, lines):

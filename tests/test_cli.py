@@ -9,12 +9,11 @@ from pathlib import Path
 
 import pytest
 
-import nbdistill
-from nbdistill.cli import MODE_FLAGS, build_parser, check_mode_flags, main
+from nbdistill.cli import build_parser, main
 from nbdistill.corpus import FormatError
 from nbdistill.mira import MiraConfig
 from nbdistill.pipeline import STRATEGIES, HookError, PipelineConfig
-from synth import build_pipeline_fixtures, make_corpus, nbest_lines, write_lines
+from synth import build_pipeline_fixtures, child_env, make_corpus, nbest_lines, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -353,10 +352,8 @@ class TestDistillCli:
         assert "matrix" in err
 
 
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 class TestModeFlags:
@@ -395,23 +392,27 @@ class TestModeFlags:
         assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    # the rules that the file-level steps do not state: oracle --sweep reads
+    # no --mode, and the two rules of rerank --report
+    OTHER_RULES = ["oracle --sweep does not read --mode",
+                   "rerank without --report does not read --refs",
+                   "rerank --report requires --refs or --top-k-models"]
+
     def test_every_flag_a_mode_does_not_read_has_a_case(self):
         messages = {message for _, message in self.CASES}
-        for command, (_, modes) in MODE_FLAGS.items():
-            for mode, reads in modes.items():
-                for dest in {dest for flags in modes.values() for dest in flags} - set(reads):
-                    flag = "--" + dest.replace("_", "-")
-                    assert f"{command} {mode} does not read {flag}" in messages
+        optional = {name for reads, _ in STRATEGIES.values() for name in reads}
+        for strategy, (reads, _) in STRATEGIES.items():
+            for name in optional - set(reads):
+                assert f"distill {strategy} does not read {_flag(name)}" in messages
+        assert set(self.OTHER_RULES) <= messages
 
     def test_every_flag_a_mode_needs_has_a_case(self):
         messages = {message for _, message in self.CASES}
-        for command, (_, modes) in MODE_FLAGS.items():
-            for mode, reads in modes.items():
-                either = [dest for dest, need in reads.items() if need == "or"]
-                needs = [[dest] for dest, need in reads.items() if need is True] + [either] * bool(either)
-                for dests in needs:
-                    flags = " or ".join("--" + dest.replace("_", "-") for dest in dests)
-                    assert f"{command} {mode} requires {flags}" in messages
+        for strategy, (reads, _) in STRATEGIES.items():
+            for name, needed in reads.items():
+                if needed:
+                    assert f"distill {strategy} requires {_flag(name)}" in messages
+        assert set(self.OTHER_RULES) <= messages
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="no /dev/stdout, /dev/stderr")
@@ -426,7 +427,7 @@ def test_out_to_standard_output_keeps_what_the_shell_wrote(workspace, capsys, mo
     log.write_text("earlier\n")
     with open(log, mode) as f:
         subprocess.run([sys.executable, "-m", "nbdistill", *map(str, argv), "--out", f"/dev/{stream}"],
-                       env=_env(), check=True, timeout=60,
+                       env=child_env(), check=True, timeout=60,
                        **{"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: f})
     earlier = "earlier\n" if mode == "a" else ""
     printed = bleu if stream == "stdout" else note
@@ -572,7 +573,7 @@ class TestInputsThatDoNotFit:
 
 def test_python_m_nbdistill_prints_the_usage(tmp_path):
     done = subprocess.run([sys.executable, "-m", "nbdistill", "--help"], cwd=tmp_path,
-                          env=_env(), capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("usage: nbdistill ")
 
@@ -605,7 +606,7 @@ class TestConfigSyntaxErrors:
         assert err.value.line == line
         done = subprocess.run(
             [sys.executable, "-m", "nbdistill", "selftrain", "--config", name],
-            cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stderr) == (1, f"error: {name}: line {line}: {message}\n")
 
@@ -647,10 +648,7 @@ def test_an_interrupted_selftrain_ends_its_hook_calls(tmp_path, signum, code):
              "from nbdistill.cli import main\n"
              "sys.exit(main(sys.argv[1:]))\n")
     argv = ["selftrain", "--config", ini.name]
-    # the children import the package under test, also where it is not SRC
-    package = str(Path(nbdistill.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     proc = subprocess.Popen([sys.executable, "-c", child, *argv], cwd=tmp_path, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     itdir = tmp_path / "work" / "iter1"
@@ -705,21 +703,32 @@ def test_cli_reads_scores_and_writes_only_through_pipeline_steps():
 README = (SRC.parent / "README.md").read_text(encoding="utf-8")
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     """Every ``nbdistill`` command in the README's fenced blocks, with its
-    continuation lines joined, parses and passes the mode-flag check."""
+    continuation lines joined, passes the parser and the argument rules: run
+    in an empty directory, it succeeds or fails only for a missing file."""
     blocks = README.split("```")[1::2]
     commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("nbdistill ")]
     assert {command.split()[1] for command in commands} == {
         "evaluate", "assemble", "tune", "rerank", "oracle", "distill", "selftrain", "status"}
+    monkeypatch.chdir(tmp_path)
     for command in commands:
-        check_mode_flags(build_parser().parse_args(shlex.split(command)[1:]))
+        code, _, err = run(capsys, *shlex.split(command)[1:])
+        assert code == 0 or err.startswith("error: [Errno 2] No such file or directory: "), (
+            command, err)
 
 
-def test_readme_flag_table_and_mode_flags_name_the_strategies():
-    rows = re.findall(r"^\| `distill --strategy (\S+)` \|", README, flags=re.MULTILINE)
-    assert sorted(rows) == sorted(MODE_FLAGS["distill"][1]) == sorted(STRATEGIES)
+def test_readme_flag_table_states_what_each_strategy_reads_and_needs():
+    rows = re.findall(r"^\| `distill --strategy (\S+)` \|([^|]*)\|([^|]*)\|$", README,
+                      flags=re.MULTILINE)
+    flags = {strategy: (re.findall(r"`(--[a-z-]+)`", reads), re.findall(r"`(--[a-z-]+)`", needs))
+             for strategy, reads, needs in rows}
+    assert len(rows) == len(flags)
+    assert flags == {
+        strategy: ([_flag(name) for name in reads],
+                   [_flag(name) for name, needed in reads.items() if needed])
+        for strategy, (reads, _) in STRATEGIES.items()}
 
 
 class TestDeterminism:

@@ -907,7 +907,7 @@ LOOKUPS = {
     "evaluate_file": ("metric", "bleu, chrf",
                       lambda name: evaluate_file("hyp.txt", ["ref.txt"], name)),
     "distill_file strategy": ("strategy", "kd, ki, rerank", lambda name: distill_file(
-        name, "n.txt", "s.txt", "labels", matrix="m.tsv", weights="w.tsv", refs=["r.txt"])),
+        name, "n.txt", "s.txt", "labels", matrix="m.tsv", weights="w.tsv", orig_refs=["r.txt"])),
     "distill_file fmt": ("label format", "tsv, parallel",
                          lambda name: distill_file("kd", "n.txt", "s.txt", "labels", name)),
     "oracle_file": ("oracle mode", "oracle, anti_oracle",
@@ -942,15 +942,44 @@ def test_an_unknown_name_fails_before_a_file_is_read(tmp_path, monkeypatch, what
 
 @pytest.mark.parametrize(
     "strategy, given, missing",
-    [("rerank", {}, "matrix"), ("rerank", {"matrix": "m.tsv"}, "weights"),
-     ("rerank", {"weights": "w.tsv"}, "matrix"), ("ki", {}, "refs"), ("ki", {"refs": ()}, "refs")],
+    [("rerank", {}, "--matrix"), ("rerank", {"matrix": "m.tsv"}, "--weights"),
+     ("rerank", {"weights": "w.tsv"}, "--matrix"), ("ki", {}, "--orig-refs"),
+     ("ki", {"orig_refs": ()}, "--orig-refs")],
+    ids=["rerank", "rerank-no-weights", "rerank-no-matrix", "ki", "ki-empty"],
 )
 def test_distill_names_a_missing_argument_before_a_file_is_read(tmp_path, monkeypatch,
                                                                 strategy, given, missing):
     monkeypatch.chdir(tmp_path)
-    message = f"strategy {strategy!r} needs the {missing!r} argument"
+    message = f"distill {strategy} requires {missing}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         distill_file(strategy, "n.txt", "s.txt", "labels", **given)
+    assert list(tmp_path.iterdir()) == []
+
+
+# Library calls with an argument that their mode does not read, and the
+# message of the command that the step backs.
+UNREAD = {
+    "kd-matrix": (lambda: distill_file("kd", "n.txt", "s.txt", "labels", matrix="m.tsv"),
+                  "distill kd does not read --matrix"),
+    "ki-top-k-models": (lambda: distill_file("ki", "n.txt", "s.txt", "labels", top_k_models=0,
+                                             orig_refs=["r.txt"]),
+                        "distill ki does not read --top-k-models"),
+    "rerank-orig-refs": (lambda: distill_file("rerank", "n.txt", "s.txt", "labels",
+                                              matrix="m.tsv", weights="w.tsv",
+                                              orig_refs=["r.txt"]),
+                         "distill rerank does not read --orig-refs"),
+    "oracle-sweep-mode": (lambda: oracle_file("n.txt", ["r.txt"], "o.tsv", mode="anti_oracle",
+                                              sweep=[1]),
+                          "oracle --sweep does not read --mode"),
+}
+
+
+@pytest.mark.parametrize("call, message", UNREAD.values(), ids=UNREAD)
+def test_an_argument_the_mode_does_not_read_fails_before_a_file_is_read(tmp_path, monkeypatch,
+                                                                        call, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
     assert list(tmp_path.iterdir()) == []
 
 
@@ -961,6 +990,8 @@ class TestTablesCallThroughTheModule:
 
     CALLS = {"bleu": "corpus_bleu", "chrf": "corpus_chrf",
              "kd": "kd_top1", "ki": "ki_select", "rerank": "rerank_labels"}
+    ARGUMENTS = {"kd": {}, "ki": {"orig_refs": ["ref.txt"]},
+                 "rerank": {"matrix": "matrix.tsv", "weights": "weights.tsv"}}
 
     def test_every_entry_has_its_layer_function(self):
         assert set(self.CALLS) == set(METRICS) | set(STRATEGIES)
@@ -990,8 +1021,7 @@ class TestTablesCallThroughTheModule:
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_strategy(self, called, strategy):
-        distill_file(strategy, "nbest.txt", "src.txt", "labels", matrix="matrix.tsv",
-                     weights="weights.tsv", refs=["ref.txt"])
+        distill_file(strategy, "nbest.txt", "src.txt", "labels", **self.ARGUMENTS[strategy])
         assert called == [self.CALLS[strategy]]
 
 
@@ -1141,6 +1171,25 @@ class TestSelfTrain:
         with pytest.raises(ValueError) as err:
             run_selftrain(config)
         assert str(err.value) == f"ledger iteration 1 references a missing {label} file: {missing}"
+
+    def test_a_copied_workdir_finalizes_from_its_own_files(self, tmp_path, capsys):
+        """The ledger's paths are a record: a copy of a finished workdir takes
+        each iteration's files from itself, also once the original is gone."""
+        ini = build_pipeline_fixtures(tmp_path, iterations=2)
+        assert cli_main(["selftrain", "--config", str(ini)]) == 0
+        shutil.copytree(tmp_path / "work", tmp_path / "copy")
+        copied = tmp_path / "copied.ini"
+        copied.write_text(ini.read_text().replace("\nworkdir = work\n", "\nworkdir = copy\n"))
+        best = best_iteration(read_ledger(tmp_path / "work" / "ledger.jsonl"))
+        Path(best.labels_path).write_text("edited\n")
+        labels = tmp_path / "copy" / f"iter{best.iter}" / "labels.tsv"
+        for original in ("edited", "deleted"):
+            if original == "deleted":
+                shutil.rmtree(tmp_path / "work")
+            capsys.readouterr()
+            assert cli_main(["selftrain", "--config", str(copied)]) == 0, original
+            assert f"labels\t{labels}\n" in capsys.readouterr().out
+            assert (tmp_path / "copy" / "final.labels.tsv").read_bytes() == labels.read_bytes()
 
     def test_rerun_on_finished_workdir_is_stable(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))

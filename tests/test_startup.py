@@ -17,9 +17,8 @@ from pathlib import Path
 import pytest
 
 from nbdistill.pipeline import assemble_file
-from synth import make_corpus, nbest_lines, write_lines
+from synth import child_env, make_corpus, nbest_lines, write_lines
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 pytestmark = pytest.mark.skipif(
@@ -46,9 +45,8 @@ print(json.dumps({{
 def fresh(code, **variables):
     """Run ``code`` in a fresh interpreter whose environment sets only
     ``variables`` of the thread variables; its standard output as JSON."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env = child_env({k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES})
     env.update(variables)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
