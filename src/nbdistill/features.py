@@ -183,9 +183,10 @@ def assemble_matrix(
 def write_matrix(matrix: FeatureMatrix, out: TextIO) -> None:
     out.write("#features\t" + "\t".join(matrix.feature_names) + "\n")
     for sid, arr in enumerate(matrix.values):
-        for rank in range(len(arr)):
-            row = "\t".join(repr(float(v)) for v in arr[rank])
-            out.write(f"{sid}\t{rank}\t{row}\n")
+        # one conversion per list; the repr of each Python float is that of
+        # float(v), also for a matrix of another dtype
+        for rank, row in enumerate(arr.astype(np.float64, copy=False).tolist()):
+            out.write(f"{sid}\t{rank}\t" + "\t".join(map(repr, row)) + "\n")
 
 
 def load_matrix(stream: Iterable[str]) -> FeatureMatrix:

@@ -5,6 +5,8 @@ The six file-level steps ``evaluate_file``, ``assemble_file``, ``tune_file``,
 the self-training stages run the same steps, so each writes its command's bytes.
 Before reading a file, ``distill_file`` and ``oracle_file`` reject an argument
 their mode does not read or needs and lacks, with their command's error.
+``oracle_file`` also rejects sweep sizes that break a rule of ``check_sweep``
+first, and each step that reranks a ``top_k_models`` below 1.
 
 Each iteration shells out to user-supplied hook commands for the expensive,
 model-dependent work (n-best generation, external feature scoring) and runs
@@ -34,7 +36,8 @@ each, so a killed run resumes at the first incomplete stage and (for
 deterministic hooks) reproduces identical bytes.  Completed iterations are
 recorded in an append-only ``ledger.jsonl`` (guarded by whole-file
 replace-on-write); its paths are a record, as each iteration's files are
-taken from the configured workdir.
+taken from the configured workdir, and ``status_table`` names the labels
+files in the workdir it is given.
 
 The loop stops when the configured maximum number of iterations is reached,
 or when the dev-set BLEU gain over the previous iteration falls below
@@ -83,7 +86,7 @@ from .features import FeatureMatrix, assemble_matrix, load_matrix, write_matrix,
 from .metrics import CHRF_BETA, CHRF_CHAR_ORDER, corpus_bleu, corpus_chrf, corpus_stats
 from .mira import MiraConfig, TuneRun, WeightVector, load_weights, tune_mira, write_weights
 from .rerank import (
-    ORACLE_MODES, RerankResult, beam_sweep, format_selections, format_sweep,
+    ORACLE_MODES, RerankResult, beam_sweep, check_sweep, format_selections, format_sweep,
     oracle_select, rank_models, rerank, select_models,
 )
 
@@ -159,8 +162,7 @@ class PipelineConfig:
         Both carry the same sections: pipeline, data, features, hooks, mira.
         Relative paths are resolved against the config file's directory,
         made absolute so that hooks running in ``workdir/iterN`` find them.
-        An unknown section or key is an error; ``data.test_src`` and
-        ``data.test_refs`` are accepted and ignored.
+        An unknown section or key is an error.
 
         The key/value text is read line by line: blank lines and lines that
         start with ``#`` or ``;`` are skipped, ``[name]`` opens a section, and
@@ -254,11 +256,10 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
 # PipelineConfig field of its name ([mira]: the MiraConfig field), converted by
 # the field's declared type, and is required exactly when the field has no
 # default.  [hooks] becomes the ``hooks`` mapping and also accepts any
-# score_<name>; data.test_src and data.test_refs are accepted and ignored.
+# score_<name>.
 CONFIG_KEYS = {
     "pipeline": ("workdir", "iterations_max", "min_delta", "top_k_models", "label_format"),
-    "data": ("tune_src", "tune_refs", "dev_src", "dev_refs", "transfer_src",
-             "test_src", "test_refs"),
+    "data": ("tune_src", "tune_refs", "dev_src", "dev_refs", "transfer_src"),
     "features": ("passthrough", "native", "external"),
     "hooks": ("generate_nbest",),
     "mira": ("c", "epochs", "seed", "init"),
@@ -335,11 +336,7 @@ def _ledger_entries(stream: Iterable[str]) -> List[IterationState]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            if isinstance(obj, dict):
-                # earlier versions recorded hook exit statuses, always 0
-                obj.pop("hook_statuses", None)
-            state = IterationState(**obj)
+            state = IterationState(**json.loads(line))
             if not math.isfinite(state.dev_bleu):  # OverflowError for a huge integer
                 raise ValueError(f"dev_bleu must be finite, got {json.dumps(state.dev_bleu)}")
             states.append(state)
@@ -431,6 +428,8 @@ def _rerank_inputs(
     top_k_models: Optional[int],
 ) -> Tuple[FeatureMatrix, NBestCorpus, WeightVector, Optional[frozenset]]:
     """The arguments of ``rerank``; ``top_k_models`` is k for ``select_models``."""
+    if top_k_models is not None and top_k_models < 1:
+        raise ValueError(f"--top-k-models must be >= 1, got {top_k_models}")
     loaded = load_file(weights, load_weights)
     mask = None if top_k_models is None else select_models(loaded, top_k_models)
     return load_file(matrix, load_matrix), load_file(nbest, load_nbest), loaded, mask
@@ -458,6 +457,7 @@ def oracle_file(
     sweep) and the number of lists shorter than a sweep size."""
     if sweep is not None:
         _check_reads("oracle --sweep", {}, {"mode": mode})
+        check_sweep(sweep)
     mode = known("oracle" if mode is None else mode, ORACLE_MODES, "oracle mode")
     corpus, loaded = load_file(nbest, load_nbest), load_references(refs)
     if sweep is not None:
@@ -737,13 +737,16 @@ def _finalize_labels(config: PipelineConfig, best: IterationState) -> Path:
 
 
 def status_table(workdir: str | Path) -> str:
-    """Render the ledger as an aligned text table."""
+    """Render the ledger as an aligned text table; each labels file is named
+    in ``workdir``, as a resume takes it from there."""
     states = read_ledger(ledger_path(workdir))
     if not states:
         return "no iterations recorded\n"
     header = ("iter", "dev_bleu", "started", "finished", "labels")
+    base = Path(workdir).absolute()
     rows = [
-        (str(s.iter), f"{s.dev_bleu:.4f}", s.started, s.finished, s.labels_path)
+        (str(s.iter), f"{s.dev_bleu:.4f}", s.started, s.finished,
+         str(base / f"iter{s.iter}" / Path(s.labels_path).name))
         for s in states
     ]
     widths = [

@@ -116,6 +116,17 @@ def oracle_select(
     return RerankResult(selections, _texts(corpus, selections), table.bleu(selections))
 
 
+def check_sweep(sizes: Sequence[int]) -> None:
+    """The rules of sweep sizes that need no corpus: at least one size, each
+    positive, in non-decreasing order."""
+    if not sizes:
+        raise ValueError("no sweep sizes given")
+    if any(n < 1 for n in sizes):
+        raise ValueError("sweep sizes must be positive")
+    if list(sizes) != sorted(sizes):
+        raise ValueError("sweep sizes must be non-decreasing")
+
+
 def beam_sweep(
     corpus: NBestCorpus, refs: Sequence[Sequence[str]], sizes: Sequence[int]
 ) -> Tuple[List[SweepRow], int]:
@@ -124,12 +135,7 @@ def beam_sweep(
     Lists shorter than a requested size are used as-is; the second return
     value counts those truncation events.
     """
-    if not sizes:
-        raise ValueError("no sweep sizes given")
-    if any(n < 1 for n in sizes):
-        raise ValueError("sweep sizes must be positive")
-    if list(sizes) != sorted(sizes):
-        raise ValueError("sweep sizes must be non-decreasing")
+    check_sweep(sizes)
     if max(sizes) > corpus.n_max:
         raise ValueError(
             f"sweep size {max(sizes)} exceeds the longest list ({corpus.n_max})"

@@ -80,6 +80,11 @@ _RULES = "tests/test_pipeline.py::test_an_argument_the_mode_does_not_read_fails_
 _MODE_FLAGS = "tests/test_cli.py::TestModeFlags::test_a_flag_the_mode_does_not_read_fails"
 _MBR = "tests/test_features.py::TestMbrUtility::"
 _COPIED = "tests/test_pipeline.py::TestSelfTrain::test_a_copied_workdir_finalizes_from_its_own_files"
+_BAD_VALUE = "tests/test_pipeline.py::test_a_bad_value_fails_before_a_file_is_read"
+_EARLY_TOP_K = """    if top_k_models is not None and top_k_models < 1:
+        raise ValueError(f"--top-k-models must be >= 1, got {top_k_models}")
+"""
+_WRITE_ROWS = "enumerate(arr.astype(np.float64, copy=False).tolist())"
 
 MUTANTS = (
     # the calls of a hook stage
@@ -161,7 +166,8 @@ MUTANTS = (
            "and not value:", "and value is None:",
            ("tests/test_pipeline.py::test_distill_names_a_missing_argument_before_a_file_is_read"
             "[ki-empty]",)),
-    Mutant("oracle-sweep-reads-mode", "src/nbdistill/pipeline.py", _SWEEP_MODE, "",
+    Mutant("oracle-sweep-reads-mode", "src/nbdistill/pipeline.py", _SWEEP_MODE,
+           "    if sweep is not None:\n",
            (_RULES + "[oracle-sweep-mode]",)),
     Mutant("rerank-report-without-refs-or-mask", "src/nbdistill/cli.py", _NO_REPORT, "",
            (_MODE_FLAGS + "[rerank --matrix m --nbest n --weights w --out o --report-"
@@ -209,6 +215,34 @@ MUTANTS = (
     Mutant("config-line-split-at-the-last-equals", "src/nbdistill/pipeline.py",
            'line.partition("=")', 'line.rpartition("=")',
            ("tests/test_pipeline.py::test_ini_reader_matches_configparser",)),
+    # the inputs that no writer feeds
+    Mutant("ledger-hook-statuses-accepted", "src/nbdistill/pipeline.py",
+           "            state = IterationState(**json.loads(line))\n",
+           "            obj = json.loads(line)\n"
+           "            if isinstance(obj, dict):\n"
+           "                obj.pop(\"hook_statuses\", None)\n"
+           "            state = IterationState(**obj)\n",
+           ("tests/test_pipeline.py::TestLedgerValidation::test_rejects_a_line_that_is_no_entry"
+            "[hook-statuses]",)),
+    Mutant("config-test-src-accepted", "src/nbdistill/pipeline.py",
+           '"dev_refs", "transfer_src"),', '"dev_refs", "transfer_src", "test_src"),',
+           ("tests/test_pipeline.py::TestConfig::test_unknown_json_key_rejected[test-src]",)),
+    # value rules checked before a file is read
+    Mutant("top-k-models-checked-after-the-reads", "src/nbdistill/pipeline.py", _EARLY_TOP_K, "",
+           (_BAD_VALUE + "[rerank-top-k-models]",)),
+    Mutant("oracle-sweep-sizes-checked-after-the-reads", "src/nbdistill/pipeline.py",
+           "        check_sweep(sweep)\n", "", (_BAD_VALUE + "[sweep-zero]",)),
+    # status and the matrix writer
+    Mutant("status-prints-the-ledger-path", "src/nbdistill/pipeline.py",
+           'str(base / f"iter{s.iter}" / Path(s.labels_path).name)', "s.labels_path",
+           ("tests/test_pipeline.py::TestSelfTrain::"
+            "test_status_names_the_files_of_the_workdir_it_is_given",)),
+    Mutant("matrix-rows-out-of-order", "src/nbdistill/features.py", _WRITE_ROWS,
+           _WRITE_ROWS.replace(".tolist()", ".tolist()[::-1]"),
+           ("tests/test_features.py::TestMatrixIO::test_each_value_is_written_as_the_repr_of_its_float",)),
+    Mutant("matrix-values-in-their-own-dtype", "src/nbdistill/features.py", _WRITE_ROWS,
+           "enumerate(arr.tolist())",
+           ("tests/test_features.py::TestMatrixIO::test_each_value_is_written_as_the_repr_of_its_float",)),
     # MIRA's visit order
     Mutant("pcg-spare-halves-swapped", "src/nbdistill/mira.py",
            "self.spare, value = value >> 32, value & _M32",

@@ -392,6 +392,23 @@ class TestModeFlags:
         assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    # the rules of a flag's value that need no file
+    VALUES = [
+        ("rerank --matrix m --nbest n --weights w --out o --top-k-models 0",
+         "--top-k-models must be >= 1, got 0"),
+        (f"{RERANK} --top-k-models 0", "--top-k-models must be >= 1, got 0"),
+        ("oracle --nbest n --refs r --sweep 0", "sweep sizes must be positive"),
+        ("oracle --nbest n --refs r --sweep 4,2", "sweep sizes must be non-decreasing"),
+        ("oracle --nbest n --refs r --sweep=", "no sweep sizes given"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", VALUES)
+    def test_a_bad_value_fails_before_a_file_is_opened(self, tmp_path, monkeypatch, capsys,
+                                                       argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     # the rules that the file-level steps do not state: oracle --sweep reads
     # no --mode, and the two rules of rerank --report
     OTHER_RULES = ["oracle --sweep does not read --mode",

@@ -284,6 +284,14 @@ class TestMatrixIO:
         for a, b in zip(reloaded.values, matrix.values):
             assert np.array_equal(a, b)
 
+    def test_each_value_is_written_as_the_repr_of_its_float(self):
+        matrix = FeatureMatrix(("a", "b"), (np.array([[1, -2], [3, 0]]),
+                                            np.array([[0.1, -0.5]], dtype=np.float32)))
+        buf = io.StringIO()
+        write_matrix(matrix, buf)
+        assert buf.getvalue() == ("#features\ta\tb\n0\t0\t1.0\t-2.0\n0\t1\t3.0\t0.0\n"
+                                  "1\t0\t0.10000000149011612\t-0.5\n")
+
     def test_header_required(self):
         with pytest.raises(ValueError, match="#features"):
             load_matrix(io.StringIO("0\t0\t1.0\n"))

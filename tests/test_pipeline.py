@@ -34,6 +34,7 @@ from nbdistill.pipeline import (
     evaluate_file,
     oracle_file,
     read_ledger,
+    rerank_file,
     run_iteration,
     run_selftrain,
     status_table,
@@ -103,25 +104,20 @@ class TestConfig:
         from_json = PipelineConfig.from_file(json_path)
         assert from_json == from_ini
 
-    def test_test_set_keys_are_accepted_and_ignored(self, tmp_path):
-        ini = build_pipeline_fixtures(tmp_path)
-        with_test = tmp_path / "with_test.ini"
-        with_test.write_text(
-            ini.read_text().replace("[data]", "[data]\ntest_src = dev.src\ntest_refs = dev.ref")
-        )
-        assert PipelineConfig.from_file(with_test) == PipelineConfig.from_file(ini)
-
     @pytest.mark.parametrize(
         "section, line, message",
         [
             ("[pipeline]", "iteration_max = 9", "unknown config key 'pipeline.iteration_max'"),
+            # no stage reads a test set
+            ("[data]", "test_src = dev.src", "unknown config key 'data.test_src'"),
+            ("[data]", "test_refs = dev.ref", "unknown config key 'data.test_refs'"),
             ("[mira]", "epoch = 50", "unknown config key 'mira.epoch'"),
             ("[hooks]", "rescore = true", "unknown config key 'hooks.rescore'"),
             ("[hooks]", "score_ = true", "unknown config key 'hooks.score_'"),
             ("[mira]", "[extra]\nx = 1", "unknown config section 'extra'"),
             ("[mira]", "[DEFAULT]\nroot = x", "unknown config section 'DEFAULT'"),
         ],
-        ids=["pipeline-key", "mira-key", "hook", "unnamed-score-hook", "section",
+        ids=["pipeline-key", "test-src", "test-refs", "mira-key", "hook", "unnamed-score-hook", "section",
              "default-section"],
     )
     def test_unknown_keys_and_sections_rejected(self, tmp_path, section, line, message):
@@ -137,8 +133,12 @@ class TestConfig:
     @pytest.mark.parametrize("document, message", [
         ({"pipeline": {"workdir": "w"}, "data": {"dev_ref": "x"}},
          "unknown config key 'data.dev_ref'"),
+        ({"pipeline": {"workdir": "w"}, "data": {"test_src": "x"}},
+         "unknown config key 'data.test_src'"),
+        ({"pipeline": {"workdir": "w"}, "data": {"test_refs": ["x"]}},
+         "unknown config key 'data.test_refs'"),
         ({"pipeline": 5}, "config section 'pipeline' must be a mapping"),
-    ], ids=["unknown-key", "section-no-mapping"])
+    ], ids=["unknown-key", "test-src", "test-refs", "section-no-mapping"])
     def test_unknown_json_key_rejected(self, tmp_path, document, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(document))
@@ -983,6 +983,30 @@ def test_an_argument_the_mode_does_not_read_fails_before_a_file_is_read(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+# Library calls with a value that breaks a rule that needs no file.
+BAD_VALUES = {
+    "rerank-top-k-models": (lambda: rerank_file("m.tsv", "n.txt", "w.tsv", "o.tsv", top_k_models=0),
+                            "--top-k-models must be >= 1, got 0"),
+    "distill-top-k-models": (lambda: distill_file("rerank", "n.txt", "s.txt", "labels",
+                                                  matrix="m.tsv", weights="w.tsv", top_k_models=-1),
+                             "--top-k-models must be >= 1, got -1"),
+    "sweep-zero": (lambda: oracle_file("n.txt", ["r.txt"], "o.tsv", sweep=[0]),
+                   "sweep sizes must be positive"),
+    "sweep-decreasing": (lambda: oracle_file("n.txt", ["r.txt"], "o.tsv", sweep=[4, 2]),
+                         "sweep sizes must be non-decreasing"),
+    "sweep-empty": (lambda: oracle_file("n.txt", ["r.txt"], "o.tsv", sweep=[]),
+                    "no sweep sizes given"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_a_bad_value_fails_before_a_file_is_read(tmp_path, monkeypatch, call, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestTablesCallThroughTheModule:
     """Each ``METRICS`` and ``STRATEGIES`` entry calls its layer function by
     the name that ``nbdistill.pipeline`` binds, so that a function replaced
@@ -1191,6 +1215,16 @@ class TestSelfTrain:
             assert f"labels\t{labels}\n" in capsys.readouterr().out
             assert (tmp_path / "copy" / "final.labels.tsv").read_bytes() == labels.read_bytes()
 
+    def test_status_names_the_files_of_the_workdir_it_is_given(self, tmp_path, capsys):
+        ini = build_pipeline_fixtures(tmp_path, iterations=2)
+        assert cli_main(["selftrain", "--config", str(ini)]) == 0
+        shutil.copytree(tmp_path / "work", tmp_path / "copy")
+        for workdir in ("work", "copy"):
+            capsys.readouterr()
+            assert cli_main(["status", "--workdir", str(tmp_path / workdir)]) == 0
+            labels = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]]
+            assert labels == [str(tmp_path / workdir / f"iter{n}" / "labels.tsv") for n in (1, 2)]
+
     def test_rerun_on_finished_workdir_is_stable(self, tmp_path):
         config = PipelineConfig.from_file(build_pipeline_fixtures(tmp_path))
         run_selftrain(config)
@@ -1233,25 +1267,24 @@ class TestLedgerValidation:
                 "labels_path": "l",
                 "started": "t",
                 "finished": "t",
-                "hook_statuses": {},
             }
         )
         ledger.write_text(entry + "\n")
         with pytest.raises(ValueError, match="indices"):
             read_ledger(ledger)
 
-    def test_loads_entries_with_hook_statuses(self, tmp_path):
+    @pytest.mark.parametrize("line, error", [
+        (json.dumps({**ENTRY, "hook_statuses": {"generate_nbest.tune": 0}}),
+         "IterationState.__init__() got an unexpected keyword argument 'hook_statuses'"),
+        ("[1]", "nbdistill.pipeline.IterationState() argument after ** must be a mapping, not list"),
+    ], ids=["hook-statuses", "no-object"])
+    def test_rejects_a_line_that_is_no_entry(self, tmp_path, line, error):
+        """A key that no version writes any more, such as ``hook_statuses``, is an error."""
         ledger = tmp_path / "ledger.jsonl"
-        entry = {
-            "iter": 1,
-            "dev_bleu": 1.5,
-            "weights_path": "w",
-            "labels_path": "l",
-            "started": "t0",
-            "finished": "t1",
-        }
-        ledger.write_text(json.dumps({**entry, "hook_statuses": {"generate_nbest.tune": 0}}) + "\n")
-        assert read_ledger(ledger) == [IterationState(**entry)]
+        ledger.write_text(json.dumps(self.ENTRY) + "\n" + line + "\n")
+        message = f"{ledger}: line 2: bad ledger entry: {error}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read_ledger(ledger)
 
     def test_rejects_garbage_line(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
